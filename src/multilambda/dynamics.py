@@ -31,8 +31,6 @@ __all__ = [
     "IntegratorConfig",
     "PropagationResult",
     "propagate",
-    "populations_timeseries",
-    "max_intermediate_population",
     "pf_degenerate_prediction",
 ]
 
@@ -256,16 +254,6 @@ def propagate(
     grid.setflags(write=False)
     traj.setflags(write=False)
     return result
-
-
-def populations_timeseries(result: PropagationResult) -> np.ndarray:
-    """Per-state populations at the stored times, rows summing to ~1."""
-    return result.populations
-
-
-def max_intermediate_population(result: PropagationResult) -> float:
-    """Largest total intermediate population seen over the whole run."""
-    return result.max_intermediate_pop
 
 
 def pf_degenerate_prediction(

@@ -33,7 +33,6 @@ __all__ = [
     "StateVector",
     "SSums",
     "DetuningProducts",
-    "pulse_values",
     "build_hamiltonian",
     "s_sums",
     "detuning_products",
@@ -104,11 +103,6 @@ class PulsePair:
         """Propagation window wide enough that envelopes are below e^-16 of peak."""
         half = 4.0 * self.width + self.delay
         return (-half, half)
-
-
-def pulse_values(pulses: PulsePair, t):
-    """Envelope pair at time ``t``; mirror symmetric, omega_p(-t) == omega_s(t)."""
-    return pulses.values(t)
 
 
 @dataclass(frozen=True)
@@ -288,24 +282,27 @@ def detuning_products(system: MultiLambdaSystem) -> DetuningProducts:
     return DetuningProducts(system.detunings)
 
 
-def build_hamiltonian(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> np.ndarray:
+def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray:
     """Rotating-wave Hamiltonian at given instantaneous envelope values.
 
     Row/column 0 is the initial state, the last row/column the final state.
     The matrix is exactly symmetric by construction and the two-photon
-    resonance keeps H[0, 0], H[-1, -1] and H[0, -1] at zero.
+    resonance keeps H[0, 0], H[-1, -1] and H[0, -1] at zero.  Array envelopes
+    give the stack of Hamiltonians, shape ``(*envelope shape, N+2, N+2)``.
     """
-    if omega_p < 0 or omega_s < 0:
+    omega_p = np.asarray(omega_p, dtype=float)
+    omega_s = np.asarray(omega_s, dtype=float)
+    if np.any(omega_p < 0) or np.any(omega_s < 0):
         raise ValueError("envelope values must be nonnegative")
     n = system.n_intermediate
-    h = np.zeros((n + 2, n + 2))
-    pump = omega_p * np.asarray(system.alphas)
-    stokes = omega_s * np.asarray(system.betas)
-    h[0, 1 : n + 1] = pump
-    h[1 : n + 1, 0] = pump
-    h[n + 1, 1 : n + 1] = stokes
-    h[1 : n + 1, n + 1] = stokes
-    h[np.arange(1, n + 1), np.arange(1, n + 1)] = system.detunings
+    h = np.zeros(np.broadcast_shapes(omega_p.shape, omega_s.shape) + (n + 2, n + 2))
+    pump = omega_p[..., None] * np.asarray(system.alphas)
+    stokes = omega_s[..., None] * np.asarray(system.betas)
+    h[..., 0, 1 : n + 1] = pump
+    h[..., 1 : n + 1, 0] = pump
+    h[..., n + 1, 1 : n + 1] = stokes
+    h[..., 1 : n + 1, n + 1] = stokes
+    h[..., np.arange(1, n + 1), np.arange(1, n + 1)] = system.detunings
     return h
 
 

@@ -1,15 +1,17 @@
 """Instantaneous spectrum of the transfer Hamiltonian and its continuation in time.
 
-The eigensolver is a cyclic Jacobi rotation scheme.  The matrices here are
-small (N+2 for a handful of intermediate states) and dense, Jacobi delivers
-near machine precision eigenvectors, and having the solver in-package keeps
-the spectral layer free of hidden tolerance choices.
+Eigenpairs come from LAPACK (``numpy.linalg.eigh``).  A tracked time grid is
+solved in one batched call on the stacked ``(K, N+2, N+2)`` Hamiltonians,
+behind the same exact-symmetry check that single matrices get.
 
 Eigenvalue curves are continued through time by greedy eigenvector-overlap
 matching between consecutive snapshots.  That is reliable exactly when the
 time grid is fine enough that consecutive eigenbases barely rotate; if the
 best available overlap for some state drops below 0.5 the continuation is
-refused rather than guessed.
+refused rather than guessed.  Inside a cluster of equal eigenvalues (equal
+degenerate detunings give one at every time) the solver's basis is arbitrary,
+so before matching each cluster's columns are rotated onto the previous
+snapshot's basis by an orthogonal Procrustes step.
 """
 
 from __future__ import annotations
@@ -40,67 +42,26 @@ __all__ = [
     "asymptotics_valid",
 ]
 
-# Convergence: off-diagonal Frobenius mass relative to the full matrix norm.
-_JACOBI_RTOL = 1e-13
-_MAX_SWEEPS = 60
-
 # Continuation is refused when the best overlap drops below this.
 _MIN_OVERLAP = 0.5
 
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+# Adjacent eigenvalues closer than this fraction of the spectral radius form a
+# cluster whose eigenbasis the solver may pick arbitrarily.
+_CLUSTER_RTOL = 1e-9
 
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a real
-    symmetric matrix, by cyclic Jacobi rotations.
+    symmetric matrix, or of each matrix in a ``(..., n, n)`` stack, by LAPACK.
 
-    Sweeps run until the off-diagonal Frobenius norm falls below 1e-13 of the
-    matrix norm.  Returns ``(w, v)`` with ``h @ v[:, j] == w[j] * v[:, j]``.
+    Returns ``(w, v)`` with ``h @ v[..., :, j] == w[..., j] * v[..., :, j]``.
     """
-    a = np.array(h, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(h, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSymmetricInput("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise NonSymmetricInput("matrix must be exactly symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-    norm_h = float(np.linalg.norm(a))
-    if norm_h == 0.0:
-        return np.zeros(n), v
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= _JACOBI_RTOL * norm_h:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # Stable tangent of the rotation angle; sign keeps |t| <= 1.
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0.0 else 1.0
-                if t == 0.0:
-                    continue
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +71,9 @@ class SpectralSnapshot:
     ``eigenvalues`` are ascending and ``eigenvectors[:, j]`` belongs to
     ``eigenvalues[j]``.  ``track_ids[j]`` is the persistent label of that
     curve: labels are assigned by ascending order in the first snapshot and
-    carried forward by overlap matching.
+    carried forward by overlap matching.  Inside a cluster of equal
+    eigenvalues the columns are the cluster basis nearest the previous
+    snapshot's, eigenvectors to within the cluster's width.
     """
 
     t: float
@@ -153,6 +116,19 @@ def _greedy_match(prev_v: np.ndarray, cur_v: np.ndarray, t: float) -> np.ndarray
     return match
 
 
+def _align_clusters(prev_v: np.ndarray, cur_v: np.ndarray, close: np.ndarray) -> None:
+    """Rotate each cluster of equal eigenvalues in ``cur_v`` onto ``prev_v``.
+
+    ``close[j]`` marks eigenvalues j and j+1 as equal.  Any orthonormal basis
+    of a cluster's eigenspace is a valid answer, so the one nearest the
+    previous columns is taken (orthogonal Procrustes, one SVD per cluster).
+    """
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], close.astype(int), [0]))))
+    for lo, hi in zip(edges[::2], edges[1::2] + 1):
+        u, _, vt = np.linalg.svd(cur_v[:, lo:hi].T @ prev_v[:, lo:hi])
+        cur_v[:, lo:hi] = cur_v[:, lo:hi] @ (u @ vt)
+
+
 def track_spectrum(
     system: MultiLambdaSystem, pulses: PulsePair, time_grid
 ) -> list[SpectralSnapshot]:
@@ -162,23 +138,19 @@ def track_spectrum(
         raise ValueError("time grid must be a nonempty 1-d sequence")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    snapshots: list[SpectralSnapshot] = []
-    prev_v = None
-    prev_ids = None
-    for t in grid:
-        wp, ws = pulses.values(t)
-        w, v = eigendecompose(build_hamiltonian(system, wp, ws))
-        if prev_v is None:
-            ids = np.arange(w.size)
-            _fix_initial_signs(v)
-        else:
-            match = _greedy_match(prev_v, v, float(t))
-            ids = prev_ids[match]
-        for arr in (w, v, ids):
-            arr.setflags(write=False)
-        snapshots.append(SpectralSnapshot(float(t), w, v, ids))
-        prev_v, prev_ids = v, ids
-    return snapshots
+    w, v = eigendecompose(build_hamiltonian(system, *pulses.values(grid)))
+    close = np.diff(w, axis=1) <= _CLUSTER_RTOL * np.max(np.abs(w), axis=1, keepdims=True)
+    clustered = np.any(close, axis=1)
+    ids = np.empty(w.shape, dtype=int)
+    ids[0] = np.arange(w.shape[1])
+    _fix_initial_signs(v[0])
+    for k in range(1, grid.size):
+        if clustered[k]:
+            _align_clusters(v[k - 1], v[k], close[k])
+        ids[k] = ids[k - 1][_greedy_match(v[k - 1], v[k], float(grid[k]))]
+    for arr in (w, v, ids):
+        arr.setflags(write=False)
+    return [SpectralSnapshot(float(t), w[k], v[k], ids[k]) for k, t in enumerate(grid)]
 
 
 def track_curve(snapshots: list[SpectralSnapshot], track_id: int) -> np.ndarray:

@@ -11,9 +11,7 @@ from multilambda import (
     StateVector,
     ToleranceNotMet,
     build_hamiltonian,
-    max_intermediate_population,
     pf_degenerate_prediction,
-    populations_timeseries,
     propagate,
 )
 
@@ -71,7 +69,6 @@ class TestPropagation:
         assert res.final_pf == pytest.approx(pops[-1, -1])
         assert np.allclose(pops.sum(axis=1), 1.0, atol=1e-6)
         assert res.state(0).amplitudes[0] == pytest.approx(1.0)
-        assert populations_timeseries(res) is not None
 
     def test_store_every_controls_grid_density(self):
         pul = pulses(30.0)
@@ -110,7 +107,6 @@ class TestPropagation:
         res = propagate(RES_GENERAL, pul, IntegratorConfig(store_every=1))
         mids = res.populations[:, 1:-1].sum(axis=1)
         assert res.max_intermediate_pop == pytest.approx(np.max(mids))
-        assert max_intermediate_population(res) == res.max_intermediate_pop
         sparse = propagate(RES_GENERAL, pul)
         assert sparse.max_intermediate_pop == pytest.approx(res.max_intermediate_pop, rel=1e-6)
 

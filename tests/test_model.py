@@ -159,6 +159,15 @@ class TestHamiltonian:
     def test_negative_envelopes_rejected(self):
         with pytest.raises(ValueError):
             build_hamiltonian(LINKED, -0.1, 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_hamiltonian(LINKED, np.array([0.1, 0.2]), np.array([0.5, -1e-300]))
+
+    def test_array_envelopes_stack_scalar_builds(self):
+        wp, ws = pulses(30.0).values(np.linspace(-60.0, 60.0, 7))
+        stack = build_hamiltonian(LINKED, wp, ws)
+        assert stack.shape == (7, 4, 4)
+        for k in range(7):
+            assert np.array_equal(stack[k], build_hamiltonian(LINKED, float(wp[k]), float(ws[k])))
 
 
 class TestSums:

@@ -21,7 +21,17 @@ from multilambda import (
     track_vectors,
 )
 
-from cases import AMBIGUOUS, BLOCKED, BROKEN, DEGEN_NONPROP_2, LINKED, PUMP_BLOCKED, RES_DARK, pulses
+from cases import (
+    AMBIGUOUS,
+    BLOCKED,
+    BROKEN,
+    DEGEN_NONPROP_2,
+    LINKED,
+    PUMP_BLOCKED,
+    RES_DARK,
+    TRANSFER,
+    pulses,
+)
 
 
 def _random_symmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -58,6 +68,25 @@ class TestEigendecompose:
             eigendecompose(np.zeros((2, 3)))
         with pytest.raises(NonSymmetricInput):
             eigendecompose(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
+        # one bad member spoils a stack
+        stack = np.array([_random_symmetric(np.random.default_rng(8), 4)] * 3)
+        asymmetric = stack.copy()
+        asymmetric[2, 0, 1] += 1e-12
+        poisoned = stack.copy()
+        poisoned[1, 3, 3] = np.nan
+        for bad in (asymmetric, poisoned):
+            with pytest.raises(NonSymmetricInput):
+                eigendecompose(bad)
+
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([_random_symmetric(rng, 5) for _ in range(6)])
+        w, v = eigendecompose(stack)
+        assert w.shape == (6, 5) and v.shape == (6, 5, 5)
+        for k in range(6):
+            wk, vk = eigendecompose(stack[k])
+            assert np.array_equal(w[k], wk)
+            assert np.array_equal(v[k], vk)
 
 
 class TestTracking:
@@ -104,10 +133,19 @@ class TestTracking:
 
     def test_degenerate_cluster_refuses_coarse_grid(self):
         pul = pulses(30.0)
+        # one step across the whole pulse overlap rotates the eigenbasis too far
         with pytest.raises(AmbiguousTracking):
-            track_spectrum(AMBIGUOUS, pul, np.array([-120.0, 0.0]))
-        # a finer grid resolves the same system
+            track_spectrum(TRANSFER, pul, np.array([-30.0, 30.0]))
+        # AMBIGUOUS keeps a sixfold cluster at detuning 1 at all times; aligned
+        # with the previous basis, it tracks on coarse and fine grids alike
         track_spectrum(AMBIGUOUS, pul, np.linspace(-120.0, 0.0, 5))
+        lo, hi = pul.default_window()
+        snaps = track_spectrum(AMBIGUOUS, pul, np.linspace(lo, hi, 1001))
+        for snap in snaps[::50]:
+            h = build_hamiltonian(AMBIGUOUS, *pul.values(snap.t))
+            v = snap.eigenvectors
+            assert np.allclose(v.T @ v, np.eye(10), atol=1e-12)
+            assert np.linalg.norm(h @ v - v * snap.eigenvalues) < 1e-8
 
     def test_grid_validation(self):
         pul = pulses(30.0)
