@@ -27,7 +27,11 @@ def _build_parser() -> argparse.ArgumentParser:
         " through parallel intermediate states.",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker processes for scan points (default 1)"
+        "--threads",
+        type=int,
+        default=1,
+        help="split the scan points into this many contiguous batches, one"
+        " worker process each (default 1)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress chatter")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,6 +6,14 @@ proportional-integral step controller.  The state is never renormalized:
 norm drift is a free accuracy monitor, and a run whose norm leaves the
 budget fails loudly instead of being patched up.
 
+One loop serves one point or many: a batch of B points of one dimension is
+advanced in lockstep as a ``(B, N+2)`` state, with the six stage generators
+-i H(t + c_i h) of a step built in one broadcast.  Each point keeps its own
+window, step size, controller memory, audits and stored trajectory, and the
+stage and error sums are fixed-order elementwise operations, so a point
+takes exactly the steps it takes alone and its result is bitwise the same
+in any batch.
+
 The default window spans +-(4*width + delay), where the envelopes are below
 e^-16 of their peak, so the asymptotic populations are converged at the
 integration tolerances used here.
@@ -14,16 +22,19 @@ integration tolerances used here.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NormDriftExceeded, PreconditionViolated, ToleranceNotMet
+from .errors import NormDriftExceeded, NumericalError, PreconditionViolated, ToleranceNotMet
 from .model import (
     MultiLambdaSystem,
     PulsePair,
     StateVector,
+    build_hamiltonian,
+    gaussian_envelopes,
     s_sums,
 )
 
@@ -31,6 +42,7 @@ __all__ = [
     "IntegratorConfig",
     "PropagationResult",
     "propagate",
+    "propagate_batch",
     "pf_degenerate_prediction",
 ]
 
@@ -104,11 +116,14 @@ class IntegratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class PropagationResult:
-    """Stored trajectory of one propagation.
+    """Stored trajectory of one propagation, with its step statistics.
 
     ``trajectory[k]`` is the amplitude vector at ``time_grid[k]``.  The
     transient intermediate population maximum is tracked over every accepted
-    step, not only the stored ones.
+    step, not only the stored ones.  ``n_rhs`` counts right-hand-side
+    evaluations; ``h_min``/``h_max`` are the smallest and largest accepted
+    step (the last step, clipped to the window end, included; NaN when no
+    step was accepted).
     """
 
     time_grid: np.ndarray
@@ -118,6 +133,9 @@ class PropagationResult:
     max_intermediate_pop: float
     n_accepted: int
     n_rejected: int
+    n_rhs: int
+    h_min: float
+    h_max: float
 
     @property
     def populations(self) -> np.ndarray:
@@ -127,22 +145,38 @@ class PropagationResult:
         return StateVector(self.trajectory[k])
 
 
-def _make_rhs(system: MultiLambdaSystem, pulses: PulsePair):
-    al = np.asarray(system.alphas)
-    be = np.asarray(system.betas)
-    de = np.asarray(system.detunings)
+# Stage times (as fractions of h) of the six stages evaluated per step, and
+# the nonzero tableau entries as (stage, coefficient) pairs.
+_C_STEP = np.array(_C[1:])
+_A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A)
+_E_TERMS = tuple((j, e) for j, e in enumerate(_E) if e != 0.0)
+_FAC_LO = 1.0 / _MAX_GROW
+_FAC_HI = 1.0 / _MAX_SHRINK
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        wp, ws = pulses.values(t)
-        mid = y[1:-1]
-        dy = np.empty_like(y)
-        dy[0] = wp * (al @ mid)
-        dy[1:-1] = (wp * y[0]) * al + de * mid + (ws * y[-1]) * be
-        dy[-1] = ws * (be @ mid)
-        dy *= -1j
-        return dy
 
-    return rhs
+def _weighted_sum(terms, k):
+    """sum(c * k[j]) in tableau order, as plain elementwise operations.
+
+    The order is fixed and no BLAS call is involved, so every row of the
+    result is the same whatever the other rows of the batch are.
+    """
+    j, c = terms[0]
+    out = c * k[j]
+    for j, c in terms[1:]:
+        out += c * k[j]
+    return out
+
+
+def _initial_state(system: MultiLambdaSystem, initial: StateVector | None) -> np.ndarray:
+    if initial is None:
+        y = np.zeros(system.dimension, dtype=complex)
+        y[0] = 1.0
+        return y
+    if initial.amplitudes.size != system.dimension:
+        raise ValueError("initial state dimension does not match the system")
+    if abs(initial.norm() - 1.0) > 1e-8:
+        raise ValueError("initial state must be normalized")
+    return initial.amplitudes.astype(complex, copy=True)
 
 
 def propagate(
@@ -156,104 +190,222 @@ def propagate(
     Starts from ``initial`` (default: all population in the initial state)
     and returns the stored trajectory.  Raises ToleranceNotMet when the step
     controller stalls at the minimum step and NormDriftExceeded when the norm
-    leaves 1 by more than 1e-6 at any accepted step.
+    leaves 1 by more than 1e-6 at any accepted step.  This is a batch of one
+    through :func:`propagate_batch`.
+    """
+    initials = None if initial is None else [initial]
+    return propagate_batch([(system, pulses)], config, initials)[0]
+
+
+def propagate_batch(
+    points: Sequence[tuple[MultiLambdaSystem, PulsePair]],
+    config: IntegratorConfig | None = None,
+    initials: Sequence[StateVector | None] | None = None,
+) -> list[PropagationResult]:
+    """Propagate several ``(system, pulses)`` points of one dimension in lockstep.
+
+    Each loop iteration attempts one step of every unfinished point, with the
+    state held as one ``(B, N+2)`` array.  Every point keeps its own window,
+    step size and controller state, so it takes exactly the steps it takes
+    alone, and its result does not depend on the other points of the batch.
+    A point drops out of the batch when it reaches its window end.
+
+    When points fail, the error of the first failing point in batch order is
+    raised once every point before it has finished, with that point's
+    position in its ``point`` attribute; points after it are abandoned.
     """
     cfg = config if config is not None else IntegratorConfig()
-    t0, t1 = cfg.window(pulses)
-    if initial is None:
-        y = np.zeros(system.dimension, dtype=complex)
-        y[0] = 1.0
-    else:
-        if initial.amplitudes.size != system.dimension:
-            raise ValueError("initial state dimension does not match the system")
-        if abs(initial.norm() - 1.0) > 1e-8:
-            raise ValueError("initial state must be normalized")
-        y = initial.amplitudes.astype(complex, copy=True)
+    if not points:
+        return []
+    dims = {system.dimension for system, _ in points}
+    if len(dims) != 1:
+        raise ValueError("points of one batch must share the system dimension")
+    if initials is None:
+        initials = [None] * len(points)
+    if len(initials) != len(points):
+        raise ValueError("need one initial state per point")
+    windows = np.array([cfg.window(pulses) for _, pulses in points])
+    y = np.array([_initial_state(system, init) for (system, _), init in zip(points, initials)])
 
-    rhs = _make_rhs(system, pulses)
-    max_step = cfg.max_step if cfg.max_step is not None else 0.5 * pulses.width
-    h = min(max_step, pulses.width / 20.0, (t1 - t0) / 50.0)
-    h_min = 16.0 * np.finfo(float).eps * max(abs(t0), abs(t1), 1.0)
-
-    t = t0
-    k = [None] * 7
-    k[0] = rhs(t, y)
-    err_old = 1e-4
-    just_rejected = False
-    n_accepted = 0
-    n_rejected = 0
-    times = [t0]
-    states = [y.copy()]
-    pops = np.abs(y) ** 2
-    max_mid = float(pops[1:-1].sum())
-
-    while t < t1:
-        h = min(h, max_step)
-        last = t + h >= t1
-        if last:
-            h = t1 - t
-            if h < h_min:
-                break  # residual interval is below time resolution
-        elif h < h_min:
-            raise ToleranceNotMet(f"step size underflow at t={t}")
-        for i in range(1, 7):
-            yi = y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]) if aij != 0.0)
-            k[i] = rhs(t + _C[i] * h, yi)
-        y_new = yi  # stage 7 argument is the 5th-order solution (FSAL)
-        err_vec = h * sum(e * k[j] for j, e in enumerate(_E) if e != 0.0)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
-
-        if err <= 1.0:
-            t = t1 if last else t + h
-            y = y_new
-            k[0] = k[6]
-            n_accepted += 1
-            pops = np.abs(y) ** 2
-            total = float(pops.sum())
-            drift = abs(math.sqrt(total) - 1.0)
-            if drift > _NORM_BUDGET:
-                raise NormDriftExceeded(f"norm drift {drift:.3e} at t={t}")
-            mid = total - float(pops[0]) - float(pops[-1])
-            if mid > max_mid:
-                max_mid = mid
-            if not last and n_accepted % cfg.store_every == 0:
-                times.append(t)
-                states.append(y.copy())
-            fac11 = err**_EXPO if err > 0 else 1e-10
-            fac = fac11 / (err_old**_BETA) / _SAFETY
-            fac = min(max(fac, 1.0 / _MAX_GROW), 1.0 / _MAX_SHRINK)
-            h_next = h / fac
-            if just_rejected:
-                h_next = min(h_next, h)
-                just_rejected = False
-            h = h_next
-            err_old = max(err, 1e-4)
-        else:
-            n_rejected += 1
-            just_rejected = True
-            fac11 = err**_EXPO
-            h = h / min(1.0 / _MAX_SHRINK, fac11 / _SAFETY)
-
-    times.append(t)
-    states.append(y.copy())
-    grid = np.array(times)
-    traj = np.array(states)
-    final_norm_error = abs(float(np.linalg.norm(y)) - 1.0)
-    if final_norm_error > _NORM_BUDGET:
-        raise NormDriftExceeded(f"final norm drift {final_norm_error:.3e}")
-    result = PropagationResult(
-        time_grid=grid,
-        trajectory=traj,
-        final_pf=float(np.abs(y[-1]) ** 2),
-        final_norm_error=final_norm_error,
-        max_intermediate_pop=max_mid,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
+    # Per-point constants: H(t) = D + omega_p(t) P + omega_s(t) S.
+    d_mat = np.array([build_hamiltonian(system, 0.0, 0.0) for system, _ in points])
+    p_mat = np.array([build_hamiltonian(system, 1.0, 0.0) for system, _ in points]) - d_mat
+    s_mat = np.array([build_hamiltonian(system, 0.0, 1.0) for system, _ in points]) - d_mat
+    omega0 = np.array([[pulses.omega0] for _, pulses in points])
+    width = np.array([[pulses.width] for _, pulses in points])
+    delay = np.array([[pulses.delay] for _, pulses in points])
+    t = windows[:, 0].copy()
+    t1 = windows[:, 1].copy()
+    max_step = np.array(
+        [cfg.max_step if cfg.max_step is not None else 0.5 * p.width for _, p in points]
     )
-    grid.setflags(write=False)
-    traj.setflags(write=False)
-    return result
+    h = np.minimum(np.minimum(max_step, width[:, 0] / 20.0), (t1 - t) / 50.0)
+    h_floor = 16.0 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(t), np.abs(t1)), 1.0)
+
+    def generators(tc: np.ndarray) -> np.ndarray:
+        """-i H at the times ``tc`` (shape (B, m)), shape (m, B, N+2, N+2)."""
+        wp, ws = gaussian_envelopes(tc, omega0, width, delay)
+        h_stack = wp.T[..., None, None] * p_mat + ws.T[..., None, None] * s_mat + d_mat
+        return -1j * h_stack
+
+    def rhs(g: np.ndarray, yi: np.ndarray) -> np.ndarray:
+        return np.add.reduce(g * yi[:, None, :], axis=-1)
+
+    size = len(points)
+    idx = np.arange(size)
+    k0 = rhs(generators(t[:, None])[0], y)
+    err_old = np.full(size, 1e-4)
+    just_rejected = np.zeros(size, dtype=bool)
+    n_acc = np.zeros(size, dtype=int)
+    n_rej = np.zeros(size, dtype=int)
+    n_rhs = np.ones(size, dtype=int)
+    h_lo = np.full(size, np.inf)
+    h_hi = np.zeros(size)
+    max_mid = (np.abs(y) ** 2)[:, 1:-1].sum(-1)
+    times: list[list[float]] = [[float(t0)] for t0 in t]
+    states: list[list[np.ndarray]] = [[row.copy()] for row in y]
+    results: list[PropagationResult | None] = [None] * size
+    failures: dict[int, NumericalError] = {}
+
+    def finish(b: int) -> None:
+        p = int(idx[b])
+        times[p].append(float(t[b]))
+        states[p].append(y[b].copy())
+        final_norm_error = abs(float(np.linalg.norm(y[b])) - 1.0)
+        if final_norm_error > _NORM_BUDGET:
+            failures[p] = NormDriftExceeded(f"final norm drift {final_norm_error:.3e}")
+            return
+        grid = np.array(times[p])
+        traj = np.array(states[p])
+        grid.setflags(write=False)
+        traj.setflags(write=False)
+        accepted = int(n_acc[b])
+        results[p] = PropagationResult(
+            time_grid=grid,
+            trajectory=traj,
+            final_pf=float(np.abs(y[b, -1]) ** 2),
+            final_norm_error=final_norm_error,
+            max_intermediate_pop=float(max_mid[b]),
+            n_accepted=accepted,
+            n_rejected=int(n_rej[b]),
+            n_rhs=int(n_rhs[b]),
+            h_min=float(h_lo[b]) if accepted else math.nan,
+            h_max=float(h_hi[b]) if accepted else math.nan,
+        )
+
+    rejected_before = False  # whether just_rejected has any True entry
+    while idx.size:
+        h = np.minimum(h, max_step)
+        last = t + h >= t1
+        any_last = bool(last.any())
+        if any_last:
+            h = np.where(last, t1 - t, h)
+        drop = h < h_floor
+        changed = bool(drop.any())
+        if changed:
+            for b in np.flatnonzero(drop):
+                if last[b]:
+                    finish(b)  # residual interval is below time resolution
+                else:
+                    failures[int(idx[b])] = ToleranceNotMet(f"step size underflow at t={t[b]}")
+        else:
+            hc = h[:, None]
+            g = generators(t[:, None] + _C_STEP * hc)
+            k = [k0]
+            for i in range(1, 7):
+                yi = _weighted_sum(_A_TERMS[i], k)
+                yi *= hc
+                yi += y
+                k.append(rhs(g[i - 1], yi))
+            y_new = yi  # stage 7 argument is the 5th-order solution (FSAL)
+            err_vec = hc * _weighted_sum(_E_TERMS, k)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = np.sqrt(np.add.reduce(np.abs(err_vec / scale) ** 2, axis=-1) / y.shape[1])
+            n_rhs += 6
+
+            # PI controller; err == 0 clips to the largest growth factor.
+            accepted = err <= 1.0
+            every = bool(accepted.all())
+            t_next = np.where(last, t1, t + h) if any_last else t + h
+            fac11 = err**_EXPO
+            fac = np.minimum(np.maximum(fac11 / (err_old**_BETA) / _SAFETY, _FAC_LO), _FAC_HI)
+            h_next = h / fac
+            if rejected_before:
+                h_next = np.where(just_rejected, np.minimum(h_next, h), h_next)
+            if every:
+                t, y, k0 = t_next, y_new, k[6]
+                n_acc += 1
+                h_lo = np.minimum(h_lo, h)
+                h_hi = np.maximum(h_hi, h)
+                err_old = np.maximum(err, 1e-4)
+                if rejected_before:
+                    just_rejected = np.zeros(idx.size, dtype=bool)
+                h = h_next
+            else:
+                col = accepted[:, None]
+                t = np.where(accepted, t_next, t)
+                y = np.where(col, y_new, y)
+                k0 = np.where(col, k[6], k0)
+                n_acc += accepted
+                n_rej += ~accepted
+                h_lo = np.where(accepted, np.minimum(h_lo, h), h_lo)
+                h_hi = np.where(accepted, np.maximum(h_hi, h), h_hi)
+                err_old = np.where(accepted, np.maximum(err, 1e-4), err_old)
+                just_rejected = ~accepted
+                h = np.where(accepted, h_next, h / np.fmin(_FAC_HI, fac11 / _SAFETY))
+            rejected_before = not every
+
+            # Audits of the accepted steps: norm budget, intermediate
+            # population, stored trajectory, finished points.
+            pops = np.abs(y) ** 2
+            total = np.add.reduce(pops, axis=-1)
+            mid = total - pops[:, 0] - pops[:, -1]
+            drift = np.abs(np.sqrt(total) - 1.0)
+            stored = n_acc % cfg.store_every == 0
+            drop = drift > _NORM_BUDGET
+            if every:
+                max_mid = np.fmax(max_mid, mid)
+            else:
+                max_mid = np.where(accepted, np.fmax(max_mid, mid), max_mid)
+                stored &= accepted
+                drop &= accepted
+            if any_last:
+                stored &= ~last
+            if stored.any():
+                for b in np.flatnonzero(stored):
+                    times[idx[b]].append(float(t[b]))
+                    states[idx[b]].append(y[b].copy())
+            if drop.any():
+                changed = True
+                for b in np.flatnonzero(drop):
+                    failures[int(idx[b])] = NormDriftExceeded(
+                        f"norm drift {drift[b]:.3e} at t={float(t[b])}"
+                    )
+            if any_last:
+                done = last & accepted & ~drop
+                if done.any():
+                    changed = True
+                    for b in np.flatnonzero(done):
+                        finish(b)
+                    drop |= done
+        if changed:
+            if failures:
+                drop |= idx > min(failures)
+            keep = ~drop
+            idx, t, h, t1 = (a[keep] for a in (idx, t, h, t1))
+            h_floor, max_step = (a[keep] for a in (h_floor, max_step))
+            y, k0, err_old, just_rejected = (a[keep] for a in (y, k0, err_old, just_rejected))
+            n_acc, n_rej, n_rhs = (a[keep] for a in (n_acc, n_rej, n_rhs))
+            h_lo, h_hi, max_mid = (a[keep] for a in (h_lo, h_hi, max_mid))
+            omega0, width, delay = (a[keep] for a in (omega0, width, delay))
+            d_mat, p_mat, s_mat = (a[keep] for a in (d_mat, p_mat, s_mat))
+
+    if failures:
+        first = min(failures)
+        exc = failures[first]
+        exc.point = first
+        raise exc
+    return results  # type: ignore[return-value]
 
 
 def pf_degenerate_prediction(

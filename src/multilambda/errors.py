@@ -31,7 +31,13 @@ class ValidationError(ConfigError):
 
 
 class NumericalError(MultiLambdaError):
-    """Base class for failures of the numerical machinery."""
+    """Base class for failures of the numerical machinery.
+
+    ``point`` is the position of the failing point when a batched call
+    raised the error, else None.
+    """
+
+    point: int | None = None
 
 
 class ToleranceNotMet(NumericalError):

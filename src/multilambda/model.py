@@ -34,6 +34,7 @@ __all__ = [
     "SSums",
     "DetuningProducts",
     "build_hamiltonian",
+    "gaussian_envelopes",
     "s_sums",
     "detuning_products",
     "det_closed_form",
@@ -53,6 +54,17 @@ PROPORTIONALITY_RTOL = 1e-12
 
 class PulseShape(str, Enum):
     GAUSSIAN = "gaussian"
+
+
+def gaussian_envelopes(t, omega0, width, delay):
+    """Pump and Stokes envelopes ``(omega_p, omega_s)`` of Gaussian pulses.
+
+    The pump peaks at ``+delay`` and the Stokes pulse at ``-delay``.  All
+    arguments broadcast, so stacked pulse parameters give stacked envelopes.
+    """
+    up = (t - delay) / width
+    us = (t + delay) / width
+    return omega0 * np.exp(-up * up), omega0 * np.exp(-us * us)
 
 
 @dataclass(frozen=True)
@@ -82,9 +94,7 @@ class PulsePair:
 
     def values(self, t):
         """Return ``(omega_p, omega_s)`` at time ``t`` (scalar or array)."""
-        up = (t - self.delay) / self.width
-        us = (t + self.delay) / self.width
-        return self.omega0 * np.exp(-up * up), self.omega0 * np.exp(-us * us)
+        return gaussian_envelopes(t, self.omega0, self.width, self.delay)
 
     def derivatives(self, t):
         """Time derivatives of the two envelopes at ``t``."""

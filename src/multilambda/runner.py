@@ -1,10 +1,17 @@
 """Scan orchestration: evaluate configured runs, emit CSV rows and reports.
 
-A scan point is a pure function of the configuration and the scan value, so
-points run in a process pool when requested; assembly preserves the input
-order either way.  CSV floats are printed with 9 significant digits, which
-round-trips the physics while keeping files byte-stable; the wall-time
-column is the one intentionally nondeterministic field.
+A scan point is a pure function of the configuration and the scan value.
+Each point is classified and given its Landau-Zener estimate on its own;
+then all points are propagated together by one batched call
+(:func:`~multilambda.dynamics.propagate_batch`), in which every point takes
+exactly the steps it would take alone.  ``threads > 1`` splits the points
+into that many contiguous chunks and runs one batched call per chunk in a
+process pool; a point's row is the same either way, and assembly preserves
+the input order.  The ``seconds`` column is the point's own classification
+and estimate time plus an equal share of its batch's propagation time.
+CSV floats are printed with 9 significant digits, which round-trips the
+physics while keeping files byte-stable; the wall-time column is the one
+intentionally nondeterministic field.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ from pathlib import Path
 
 from .analysis import AtClassification, Regime, classify, lz_estimate, no_at_intervals
 from .config import RunConfig, ScanAxis
-from .dynamics import propagate
+# ``propagate`` is not called here but stays a module attribute: the
+# benchmark's traced run wraps ``runner.propagate`` by name, next to
+# ``classify``, ``lz_estimate`` and ``evaluate_point``.
+from .dynamics import propagate, propagate_batch  # noqa: F401
 from .errors import NoCrossing, NumericalError
 from .model import MultiLambdaSystem, PulsePair
 
@@ -59,43 +69,65 @@ def _xi_or_none(system: MultiLambdaSystem, pulses: PulsePair) -> float | None:
         return None
 
 
-def evaluate_point(cfg: RunConfig, value: float | None) -> ScanRow:
-    """Run one scan point: classify, propagate, time it."""
-    system, pulses = _point_inputs(cfg, value)
+def _evaluate_chunk(cfg: RunConfig, values: list[float | None]) -> list[ScanRow]:
+    """Classify each point, then propagate all of them in one batched call."""
+    inputs = [_point_inputs(cfg, value) for value in values]
+    own: list[tuple[str, float | None, float]] = []
+    for system, pulses in inputs:
+        started = time.perf_counter()
+        verdict = classify(system).at_state.value
+        xi = _xi_or_none(system, pulses)
+        own.append((verdict, xi, time.perf_counter() - started))
     started = time.perf_counter()
-    verdict = classify(system).at_state.value
-    xi = _xi_or_none(system, pulses)
     try:
-        result = propagate(system, pulses, cfg.integrator)
+        results = propagate_batch(inputs, cfg.integrator)
     except NumericalError as exc:
+        value = values[exc.point]
         if value is not None:
             raise type(exc)(f"at scan value {value:.9g}: {exc}") from exc
         raise
-    seconds = time.perf_counter() - started
-    return ScanRow(
-        scan_value=value,
-        pf=result.final_pf,
-        max_intermediate_pop=result.max_intermediate_pop,
-        at_verdict=verdict,
-        xi=xi,
-        seconds=seconds,
-    )
+    share = (time.perf_counter() - started) / len(values)
+    return [
+        ScanRow(
+            scan_value=value,
+            pf=result.final_pf,
+            max_intermediate_pop=result.max_intermediate_pop,
+            at_verdict=verdict,
+            xi=xi,
+            seconds=seconds + share,
+        )
+        for value, result, (verdict, xi, seconds) in zip(values, results, own)
+    ]
 
 
-def _worker(args: tuple[RunConfig, float | None]) -> ScanRow:
-    return evaluate_point(*args)
+def evaluate_point(cfg: RunConfig, value: float | None) -> ScanRow:
+    """Run one scan point: classify, propagate, time it."""
+    return _evaluate_chunk(cfg, [value])[0]
 
 
 def run_scan(cfg: RunConfig, threads: int = 1) -> list[ScanRow]:
-    """Evaluate every scan point (or the single configured run) in order."""
+    """Evaluate every scan point (or the single configured run) in order.
+
+    With ``threads > 1`` the points are split into ``threads`` contiguous
+    chunks, each propagated by one batched call in its own process.
+    """
     if cfg.scan is None:
         values: list[float | None] = [None]
     else:
         values = list(cfg.scan.values())
-    if threads > 1 and len(values) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_worker, [(cfg, v) for v in values]))
-    return [evaluate_point(cfg, v) for v in values]
+    chunks = _split(values, min(threads, len(values)))
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = pool.map(_evaluate_chunk, [cfg] * len(chunks), chunks)
+            return [row for part in parts for row in part]
+    return _evaluate_chunk(cfg, values)
+
+
+def _split(values: list, n: int) -> list[list]:
+    """``n`` contiguous chunks whose sizes differ by at most one."""
+    size, extra = divmod(len(values), n)
+    bounds = [k * size + min(k, extra) for k in range(n + 1)]
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _fmt(value: float | None) -> str:

@@ -153,23 +153,26 @@ def track_spectrum(
     return [SpectralSnapshot(float(t), w[k], v[k], ids[k]) for k, t in enumerate(grid)]
 
 
+def _track_columns(snapshots: list[SpectralSnapshot], track_id: int) -> np.ndarray:
+    """Column of the labelled curve in each snapshot, found in one pass."""
+    hit = np.array([snap.track_ids for snap in snapshots]) == track_id
+    if not np.all(np.count_nonzero(hit, axis=1) == 1):
+        raise ValueError(f"track {track_id} is not labelled exactly once in every snapshot")
+    return np.argmax(hit, axis=1)
+
+
 def track_curve(snapshots: list[SpectralSnapshot], track_id: int) -> np.ndarray:
     """Eigenvalue of one labelled curve across all snapshots."""
-    out = np.empty(len(snapshots))
-    for k, snap in enumerate(snapshots):
-        (j,) = np.nonzero(snap.track_ids == track_id)[0]
-        out[k] = snap.eigenvalues[j]
-    return out
+    cols = _track_columns(snapshots, track_id)
+    w = np.array([snap.eigenvalues for snap in snapshots])
+    return w[np.arange(len(snapshots)), cols]
 
 
 def track_vectors(snapshots: list[SpectralSnapshot], track_id: int) -> np.ndarray:
     """Eigenvector of one labelled curve, rows indexed like the snapshots."""
-    dim = snapshots[0].eigenvectors.shape[0]
-    out = np.empty((len(snapshots), dim))
-    for k, snap in enumerate(snapshots):
-        (j,) = np.nonzero(snap.track_ids == track_id)[0]
-        out[k] = snap.eigenvectors[:, j]
-    return out
+    cols = _track_columns(snapshots, track_id)
+    v = np.array([snap.eigenvectors for snap in snapshots])
+    return v[np.arange(len(snapshots)), :, cols]
 
 
 class Side(Enum):
@@ -188,17 +191,38 @@ class AsymptoticEigenvalues:
     large: tuple[float, ...]
 
 
-def asymptotics_valid(pulses: PulsePair, t: float, side: Side, ratio: float = 0.1) -> bool:
+def asymptotics_valid(
+    pulses: PulsePair,
+    t: float,
+    side: Side,
+    ratio: float = 0.1,
+    system: MultiLambdaSystem | None = None,
+) -> bool:
     """Whether ``t`` is far enough into the requested tail for the expansions.
 
     Early means the pump is still negligible against the Stokes field
-    (omega_p/omega_s < ratio), late the reverse.  The formulas extrapolate
-    smoothly outside this domain but lose accuracy; callers decide.
+    (omega_p/omega_s < ratio), late the reverse.  Given ``system``, the
+    dominant envelope omega must also be small against every nonzero
+    detuning: omega * max(alpha_k, beta_k)/|Delta_k| < ratio over the
+    non-resonant k, the parameter of the neglected next-order terms.  The
+    formulas extrapolate smoothly outside this domain but lose accuracy;
+    callers decide.
     """
     wp, ws = pulses.values(t)
-    if side is Side.EARLY:
-        return ws > 0 and wp / ws < ratio
-    return wp > 0 and ws / wp < ratio
+    weak, strong = (wp, ws) if side is Side.EARLY else (ws, wp)
+    if not (strong > 0 and weak / strong < ratio):
+        return False
+    if system is None:
+        return True
+    coupling = max(
+        (
+            max(a, b) / abs(d)
+            for a, b, d in zip(system.alphas, system.betas, system.detunings)
+            if d != 0.0
+        ),
+        default=0.0,
+    )
+    return bool(strong * coupling < ratio)
 
 
 def asymptotic_eigenvalues_offres(

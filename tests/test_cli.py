@@ -135,6 +135,26 @@ class TestScan:
         )
 
 
+    def test_three_chunks_match_serial(self, tmp_path):
+        seven = SMALL_SCAN.replace("points = 3", "points = 7")
+        (tmp_path / "scan.conf").write_text(seven + "\n[output]\ncsv = serial.csv\n")
+        assert run_cli("scan", "scan.conf", cwd=tmp_path).returncode == 0
+        (tmp_path / "scan2.conf").write_text(seven + "\n[output]\ncsv = pool.csv\n")
+        assert run_cli("--threads", "3", "scan", "scan2.conf", cwd=tmp_path).returncode == 0
+        serial = strip_seconds((tmp_path / "serial.csv").read_text())
+        assert len(serial) == 8  # header + 7 points
+        assert serial == strip_seconds((tmp_path / "pool.csv").read_text())
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_numeric_error_names_first_scan_value(self, tmp_path, threads):
+        (tmp_path / "bad.conf").write_text(
+            SMALL_SCAN + "\n[integrator]\nt_start = 0\nt_end = 1e16\n"
+        )
+        proc = run_cli("--threads", threads, "scan", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: numeric: at scan value 8: step size underflow at t=0.0\n"
+
+
 class TestAnalyze:
     def test_report_to_stdout(self, tmp_path):
         (tmp_path / "run.conf").write_text(SINGLE_RUN)

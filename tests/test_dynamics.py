@@ -13,6 +13,7 @@ from multilambda import (
     build_hamiltonian,
     pf_degenerate_prediction,
     propagate,
+    propagate_batch,
 )
 
 from cases import (
@@ -23,6 +24,8 @@ from cases import (
     LINKED,
     PF_PREDICTION_DOUBLE_ZERO,
     RES_GENERAL,
+    SCAN_BASE,
+    TRANSFER,
     pulses,
 )
 
@@ -114,6 +117,107 @@ class TestPropagation:
         res = propagate(LINKED, pulses(30.0), IntegratorConfig(max_step=60.0))
         assert res.n_rejected >= 1
         assert res.final_norm_error < 1e-6
+
+
+def _assert_same_result(a, b):
+    """Bitwise equality of two propagation results."""
+    assert np.array_equal(a.time_grid, b.time_grid)
+    assert np.array_equal(a.trajectory, b.trajectory)
+    assert (a.final_pf, a.final_norm_error, a.max_intermediate_pop) == (
+        b.final_pf,
+        b.final_norm_error,
+        b.max_intermediate_pop,
+    )
+    assert (a.n_accepted, a.n_rejected, a.n_rhs, a.h_min, a.h_max) == (
+        b.n_accepted,
+        b.n_rejected,
+        b.n_rhs,
+        b.h_min,
+        b.h_max,
+    )
+
+
+# Ten points on each scan axis: a common-detuning sweep of SCAN_BASE (N=2)
+# sharing one pulse pair, and a pulse-width sweep of TRANSFER (N=3) with the
+# delay locked to half the width.  Short pulses and tolerances of 1e-7 keep
+# them cheap enough to propagate many times, with rejected steps on both.
+DETUNING_POINTS = [
+    (SCAN_BASE.with_common_detuning(float(v)), pulses(4.0)) for v in np.linspace(-2, 2, 10)
+]
+WIDTH_POINTS = [(TRANSFER, pulses(float(w))) for w in np.linspace(2.0, 6.0, 10)]
+CHEAP = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("points", [DETUNING_POINTS, WIDTH_POINTS], ids=["detuning", "width"])
+    def test_chunks_match_single_points_bitwise(self, points):
+        single = [propagate(system, pul, CHEAP) for system, pul in points]
+        assert sum(res.n_rejected for res in single) >= 1
+        for n_chunks in range(1, 11):
+            bounds = np.linspace(0, len(points), n_chunks + 1).astype(int)
+            batched = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                batched.extend(propagate_batch(points[lo:hi], CHEAP))
+            assert len(batched) == len(single)
+            for a, b in zip(single, batched):
+                _assert_same_result(a, b)
+
+    def test_step_counters(self):
+        cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9, max_step=0.5)
+        for res in propagate_batch(DETUNING_POINTS, cfg):
+            assert res.n_rhs == 6 * (res.n_accepted + res.n_rejected) + 1
+            assert 0.0 < res.h_min <= res.h_max <= 0.5
+        res = propagate(LINKED, pulses(30.0), IntegratorConfig(max_step=60.0))
+        assert res.n_rejected >= 1
+        assert res.n_rhs == 6 * (res.n_accepted + res.n_rejected) + 1
+        assert res.h_min <= res.h_max <= 60.0
+        # the default cap is half the pulse width
+        res = propagate(LINKED, pulses(30.0))
+        assert res.h_max <= 15.0
+
+    def test_counters_same_alone_and_in_batch(self):
+        cfg = IntegratorConfig(max_step=60.0)  # forces rejected steps
+        points = [(LINKED, pulses(30.0)), (BROKEN, pulses(20.0)), (LINKED, pulses(10.0))]
+        batched = propagate_batch(points, cfg)
+        assert sum(res.n_rejected for res in batched) >= 1
+        for (system, pul), res in zip(points, batched):
+            _assert_same_result(propagate(system, pul, cfg), res)
+
+    def test_initial_states_per_point(self):
+        pul = pulses(10.0)
+        amps = np.zeros(4, dtype=complex)
+        amps[-1] = 1.0
+        final = StateVector(amps)
+        a, b = propagate_batch([(LINKED, pul), (LINKED, pul)], initials=[None, final])
+        _assert_same_result(a, propagate(LINKED, pul))
+        _assert_same_result(b, propagate(LINKED, pul, initial=final))
+        with pytest.raises(ValueError):
+            propagate_batch([(LINKED, pul)], initials=[None, None])
+
+    def test_empty_batch_and_mixed_dimensions(self):
+        assert propagate_batch([]) == []
+        with pytest.raises(ValueError):
+            propagate_batch([(LINKED, pulses(10.0)), (TRANSFER, pulses(10.0))])
+
+    def test_first_failing_point_is_raised(self):
+        cfg = IntegratorConfig(t_start=0.0, t_end=1e16)
+        with pytest.raises(ToleranceNotMet) as info:
+            propagate_batch(DETUNING_POINTS[:3], cfg)
+        assert info.value.point == 0
+        assert str(info.value) == "step size underflow at t=0.0"
+
+    def test_lowest_failing_point_is_raised(self):
+        # at these tolerances DARK3 breaks the norm budget at width 1, not at 2
+        cfg = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-6)
+        good, bad = (DARK3, pulses(2.0)), (DARK3, pulses(1.0))
+        with pytest.raises(NormDriftExceeded) as alone:
+            propagate(*bad, cfg)
+        assert propagate(*good, cfg).final_norm_error < 1e-6
+        for points, where in (([good, bad, good], 1), ([bad, good], 0), ([good, bad, bad], 1)):
+            with pytest.raises(NormDriftExceeded) as batched:
+                propagate_batch(points, cfg)
+            assert batched.value.point == where
+            assert str(batched.value) == str(alone.value)
 
 
 class TestFailureModes:

@@ -11,6 +11,7 @@ from multilambda import (
     NonSymmetricInput,
     NotSingleResonance,
     Side,
+    SpectralSnapshot,
     asymptotic_eigenvalues_offres,
     asymptotic_eigenvalues_res,
     asymptotics_valid,
@@ -147,6 +148,30 @@ class TestTracking:
             assert np.allclose(v.T @ v, np.eye(10), atol=1e-12)
             assert np.linalg.norm(h @ v - v * snap.eigenvalues) < 1e-8
 
+    def test_curve_extraction_matches_per_snapshot_search(self):
+        pul = pulses(30.0)
+        lo, hi = pul.default_window()
+        snaps = track_spectrum(LINKED, pul, np.linspace(lo, hi, 2001))
+        for tid in range(LINKED.dimension):
+            cols = [int(np.nonzero(snap.track_ids == tid)[0][0]) for snap in snaps]
+            expected_w = np.array([snap.eigenvalues[j] for snap, j in zip(snaps, cols)])
+            expected_v = np.array([snap.eigenvectors[:, j] for snap, j in zip(snaps, cols)])
+            assert np.array_equal(track_curve(snaps, tid), expected_w)
+            assert np.array_equal(track_vectors(snaps, tid), expected_v)
+
+    def test_curve_extraction_refuses_missing_label(self):
+        pul = pulses(30.0)
+        snaps = track_spectrum(LINKED, pul, np.linspace(-60.0, 60.0, 41))
+        with pytest.raises(ValueError):
+            track_curve(snaps, LINKED.dimension)
+        # a label present in all snapshots but one is refused too
+        s0 = snaps[0]
+        broken = [SpectralSnapshot(s0.t, s0.eigenvalues, s0.eigenvectors, s0.track_ids + 1)]
+        with pytest.raises(ValueError):
+            track_curve(broken + snaps[1:], 0)
+        with pytest.raises(ValueError):
+            track_vectors(broken + snaps[1:], 0)
+
     def test_grid_validation(self):
         pul = pulses(30.0)
         with pytest.raises(ValueError):
@@ -162,6 +187,24 @@ class TestAsymptotics:
         assert not asymptotics_valid(pul, 0.0, Side.EARLY)
         assert asymptotics_valid(pul, 60.0, Side.LATE)
         assert not asymptotics_valid(pul, -60.0, Side.LATE)
+
+    def test_validity_knows_the_detunings(self):
+        # Late side at width 30: at t=+60 the envelope ratio is small but
+        # omega_p max(alpha_k, beta_k)/|Delta_k| is 0.42 for BROKEN, where
+        # the leading-order tail eigenvalues miss by about 17%.
+        pul = pulses(30.0)
+        wp, _ = pul.values(60.0)
+        assert 4.0 * wp == pytest.approx(0.4216, abs=1e-4)
+        assert asymptotics_valid(pul, 60.0, Side.LATE)
+        assert not asymptotics_valid(pul, 60.0, Side.LATE, system=BROKEN)
+        assert asymptotics_valid(pul, 87.0, Side.LATE, system=BROKEN)
+        # the envelope-ratio condition still applies with a system
+        assert not asymptotics_valid(pul, -87.0, Side.LATE, system=BROKEN)
+        assert asymptotics_valid(pul, -87.0, Side.EARLY, system=BROKEN)
+
+    def test_validity_ignores_resonant_states(self):
+        # RES_DARK's resonant pathway has no detuning to compare with
+        assert asymptotics_valid(pulses(30.0), 87.0, Side.LATE, system=RES_DARK)
 
     @pytest.mark.parametrize("side", [Side.EARLY, Side.LATE])
     def test_offres_formulas_approach_spectrum(self, side):
