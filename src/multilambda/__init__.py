@@ -3,165 +3,23 @@
 Simulation (adaptive Schrodinger propagation), instantaneous-spectrum
 tracking, and analytic classification of when an adiabatic-transfer state
 exists, plus a batch CLI for parameter sweeps.
+
+The public names are each module's ``__all__``, re-exported here.
 """
 
-from .analysis import (
-    AtClassification,
-    AtState,
-    EffectiveTwoState,
-    LzEstimate,
-    Regime,
-    ZeroEigenvalue,
-    adiabatic_eliminate,
-    at_window_boundaries,
-    classify,
-    effective_two_state,
-    lz_estimate,
-    no_at_intervals,
-    reduce_degenerate,
-)
-from .config import OutputSpec, RunConfig, ScanAxis, ScanSpec, load_config, parse_config
-from .dynamics import (
-    IntegratorConfig,
-    PropagationResult,
-    pf_degenerate_prediction,
-    propagate,
-    propagate_batch,
-)
-from .errors import (
-    AmbiguousTracking,
-    BothEnvelopesZero,
-    ConfigError,
-    DegenerateSums,
-    MultiLambdaError,
-    NoCrossing,
-    NonSymmetricInput,
-    NormDriftExceeded,
-    NotProportional,
-    NotSingleResonance,
-    NumericalError,
-    ParseError,
-    PreconditionViolated,
-    ToleranceNotMet,
-    ValidationError,
-    WrongResonanceCount,
-    ZeroDetuningInSum,
-)
-from .model import (
-    DetuningProducts,
-    MultiLambdaSystem,
-    PulsePair,
-    PulseShape,
-    SSums,
-    StateVector,
-    build_hamiltonian,
-    dark_state,
-    det_closed_form,
-    det_double_res,
-    det_offres_pair_form,
-    det_offres_sum_form,
-    det_single_res_pair_form,
-    det_single_res_sum_form,
-    detuning_products,
-    s_sums,
-    zero_eigvec_amplitudes,
-)
-from .runner import ScanRow, evaluate_point, format_csv, report_text, run_scan, write_csv
-from .spectral import (
-    AsymptoticEigenvalues,
-    Side,
-    SpectralSnapshot,
-    asymptotic_eigenvalues_offres,
-    asymptotic_eigenvalues_res,
-    asymptotics_valid,
-    eigendecompose,
-    track_curve,
-    track_spectrum,
-    track_vectors,
-)
+from . import analysis, config, dynamics, errors, model, runner, spectral
+from .analysis import *  # noqa: F403
+from .config import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .runner import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "MultiLambdaSystem",
-    "PulsePair",
-    "PulseShape",
-    "StateVector",
-    "SSums",
-    "DetuningProducts",
-    "build_hamiltonian",
-    "s_sums",
-    "detuning_products",
-    "det_closed_form",
-    "det_offres_sum_form",
-    "det_offres_pair_form",
-    "det_single_res_sum_form",
-    "det_single_res_pair_form",
-    "det_double_res",
-    "dark_state",
-    "zero_eigvec_amplitudes",
-    # spectral
-    "eigendecompose",
-    "SpectralSnapshot",
-    "track_spectrum",
-    "track_curve",
-    "track_vectors",
-    "Side",
-    "AsymptoticEigenvalues",
-    "asymptotic_eigenvalues_offres",
-    "asymptotic_eigenvalues_res",
-    "asymptotics_valid",
-    # dynamics
-    "IntegratorConfig",
-    "PropagationResult",
-    "propagate",
-    "propagate_batch",
-    "pf_degenerate_prediction",
-    # analysis
-    "Regime",
-    "ZeroEigenvalue",
-    "AtState",
-    "AtClassification",
-    "classify",
-    "at_window_boundaries",
-    "no_at_intervals",
-    "reduce_degenerate",
-    "EffectiveTwoState",
-    "effective_two_state",
-    "adiabatic_eliminate",
-    "LzEstimate",
-    "lz_estimate",
-    # config / runner
-    "ScanAxis",
-    "ScanSpec",
-    "OutputSpec",
-    "RunConfig",
-    "parse_config",
-    "load_config",
-    "ScanRow",
-    "evaluate_point",
-    "run_scan",
-    "format_csv",
-    "write_csv",
-    "report_text",
-    # errors
-    "MultiLambdaError",
-    "ConfigError",
-    "ParseError",
-    "ValidationError",
-    "NumericalError",
-    "ToleranceNotMet",
-    "NormDriftExceeded",
-    "AmbiguousTracking",
-    "ZeroDetuningInSum",
-    "BothEnvelopesZero",
-    "NonSymmetricInput",
-    "DegenerateSums",
-    "NotSingleResonance",
-    "NotProportional",
-    "NoCrossing",
-    "PreconditionViolated",
-    "WrongResonanceCount",
+__all__ = ["__version__"] + [
+    name
+    for module in (model, spectral, dynamics, analysis, config, runner, errors)
+    for name in module.__all__
 ]

@@ -86,24 +86,12 @@ class AtClassification:
     resonant: tuple[int, ...] = ()
 
 
-def _resonant_bracket(system: MultiLambdaSystem, n: int) -> tuple[float, float]:
-    """Value and magnitude scale of the zero-eigenvalue expression when
-    state n is the only resonant one."""
-    s = s_sums(system, excluded=n)
-    an = system.alphas[n]
-    bn = system.betas[n]
-    value = an * an * s.s_b2 - 2.0 * an * bn * s.s_ab + bn * bn * s.s_a2
-    scale = an * an * s.s_b2_scale + 2.0 * abs(an * bn) * s.s_ab_scale + bn * bn * s.s_a2_scale
-    return value, scale
-
-
 def _classify_off_resonant(system: MultiLambdaSystem) -> AtClassification:
     s = s_sums(system)
     a2z, b2z, abz = s.a2_is_zero(), s.b2_is_zero(), s.ab_is_zero()
     double = a2z and b2z and abz
 
-    residual = s.s_a2 * s.s_b2 - s.s_ab * s.s_ab
-    residual_scale = s.s_a2_scale * s.s_b2_scale + s.s_ab_scale * s.s_ab_scale
+    residual, residual_scale = s.residual()
     if double:
         zero = ZeroEigenvalue.DOUBLE
     elif abs(residual) <= _ZERO_RTOL * residual_scale:
@@ -127,25 +115,22 @@ def _classify_off_resonant(system: MultiLambdaSystem) -> AtClassification:
     if b2z:
         return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "stokes-sum-zero", s)
 
-    product = s.s_a2 * s.s_b2
-    if abs(product) < _MARGINAL_RTOL * s.s_a2_scale * s.s_b2_scale:
+    state = AtState.EXISTS_GENERAL if s.crossing() else AtState.NOT_EXISTS
+    if abs(s.s_a2 * s.s_b2) < _MARGINAL_RTOL * s.s_a2_scale * s.s_b2_scale:
         # Too close to a window boundary to trust the sign; the adiabatic
         # limit is approached too slowly there for the verdict to matter.
-        state = AtState.EXISTS_GENERAL if product > 0 else AtState.NOT_EXISTS
         return AtClassification(Regime.OFF_RESONANT, zero, state, "marginal", s)
-    if product > 0:
-        if zero is ZeroEigenvalue.SIMPLE:
-            reason = "zero-eigenvalue-transfer-state"
-        else:
-            reason = "detuning-sums-same-sign"
-        return AtClassification(Regime.OFF_RESONANT, zero, AtState.EXISTS_GENERAL, reason, s)
-    return AtClassification(
-        Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "detuning-sums-opposite-sign", s
-    )
+    if state is AtState.NOT_EXISTS:
+        reason = "detuning-sums-opposite-sign"
+    elif zero is ZeroEigenvalue.SIMPLE:
+        reason = "zero-eigenvalue-transfer-state"
+    else:
+        reason = "detuning-sums-same-sign"
+    return AtClassification(Regime.OFF_RESONANT, zero, state, reason, s)
 
 
 def _classify_single_resonant(system: MultiLambdaSystem, n: int) -> AtClassification:
-    value, scale = _resonant_bracket(system, n)
+    value, scale = s_sums(system, excluded=n).bracket(system.alphas[n], system.betas[n])
     zero = ZeroEigenvalue.SIMPLE if abs(value) <= _ZERO_RTOL * scale else ZeroEigenvalue.NONE
     # A transfer path through the resonant state exists unconditionally;
     # it is dark exactly when the couplings are proportional.
@@ -198,11 +183,12 @@ def classify(system: MultiLambdaSystem) -> AtClassification:
     """Decide whether an adiabatic-transfer state exists and of which kind.
 
     Off-resonant systems transfer iff the two detuning-weighted coupling
-    sums are both nonzero with the same sign; a single resonant state always
-    provides a transfer path; several degenerate resonant states do iff
-    their couplings are mutually proportional (the problem then reduces to
-    the single-resonant one).  The zero-eigenvalue field reports the null
-    structure of the Hamiltonian while both fields are on.
+    sums are both nonzero with the same sign (:meth:`SSums.crossing`); a
+    single resonant state always provides a transfer path; several
+    degenerate resonant states do iff their couplings are mutually
+    proportional (the problem then reduces to the single-resonant one).  The
+    zero-eigenvalue field reports the null structure of the Hamiltonian
+    while both fields are on.
     """
     resonant = system.resonant_indices()
     if len(resonant) == 0:
@@ -291,9 +277,7 @@ def no_at_intervals(
         shifted = system.with_common_detuning(mid)
         if shifted.resonant_indices():
             continue  # midpoint fell on a pole: zero-width piece
-        s = s_sums(shifted)
-        exists = (not s.a2_is_zero()) and (not s.b2_is_zero()) and s.s_a2 * s.s_b2 > 0
-        if not exists:
+        if not s_sums(shifted).crossing():
             if bad and bad[-1][1] == x0:
                 bad[-1] = (bad[-1][0], x1)
             else:
@@ -447,7 +431,7 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
     rough by construction; use it for ordering, not absolute probabilities.
     """
     s = s_sums(system)
-    if s.s_a2 * s.s_b2 <= 0 or s.a2_is_zero() or s.b2_is_zero():
+    if not s.crossing():
         raise NoCrossing("effective detuning does not cross zero")
     T = pulses.width
     tau = pulses.delay

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
 from .presets import preset_names, preset_text
-from .runner import format_csv, report_text, run_scan, write_csv
+from .runner import ScanRow, format_csv, report_text, run_scan
 
 __all__ = ["main", "console_main"]
 
@@ -51,67 +52,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(cfg: RunConfig, threads: int, quiet: bool) -> int:
-    single = RunConfig(
-        system=cfg.system,
-        pulses=cfg.pulses,
-        integrator=cfg.integrator,
-        scan=None,
-        output=cfg.output,
-    )
-    rows = run_scan(single, threads=1)
-    del threads  # a single point has nothing to parallelize
-    if cfg.output.csv_path is not None:
-        write_csv(rows, cfg.output.csv_path)
-        if not quiet:
-            print(f"wrote 1 row to {cfg.output.csv_path}")
-    else:
-        sys.stdout.write(format_csv(rows))
-    row = rows[0]
+def _write(text: str, path: Path | None, quiet: bool, note: str) -> None:
+    """Write ``text`` to ``path``, creating its directory, or to stdout.
+
+    ``note`` says what went where, for the confirmation line.
+    """
+    if path is None:
+        sys.stdout.write(text)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    if not quiet:
+        print(f"wrote {note}")
+
+
+def _cmd_scan(cfg: RunConfig, threads: int, quiet: bool) -> list[ScanRow]:
+    rows = run_scan(cfg, threads=threads)
+    count = "1 row" if len(rows) == 1 else f"{len(rows)} row(s)"
+    _write(format_csv(rows), cfg.output.csv_path, quiet, f"{count} to {cfg.output.csv_path}")
+    return rows
+
+
+def _cmd_simulate(cfg: RunConfig, quiet: bool) -> None:
+    row = _cmd_scan(replace(cfg, scan=None), 1, quiet)[0]
     if not quiet:
         print(
             f"final population {row.pf:.9g},"
             f" peak intermediate population {row.max_intermediate_pop:.9g},"
             f" transfer state: {row.at_verdict}"
         )
-    return 0
 
 
-def _cmd_scan(cfg: RunConfig, threads: int, quiet: bool) -> int:
-    rows = run_scan(cfg, threads=threads)
-    if cfg.output.csv_path is not None:
-        write_csv(rows, cfg.output.csv_path)
-        if not quiet:
-            print(f"wrote {len(rows)} row(s) to {cfg.output.csv_path}")
-    else:
-        sys.stdout.write(format_csv(rows))
-    return 0
-
-
-def _cmd_analyze(cfg: RunConfig, quiet: bool) -> int:
-    text = report_text(cfg)
-    if cfg.output.report_path is not None:
-        cfg.output.report_path.parent.mkdir(parents=True, exist_ok=True)
-        cfg.output.report_path.write_text(text, encoding="utf-8")
-        if not quiet:
-            print(f"wrote report to {cfg.output.report_path}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_preset(name: str, out_dir: str, quiet: bool) -> int:
+def _cmd_preset(name: str, out_dir: str, quiet: bool) -> None:
     if name == "list":
         for known in preset_names():
             print(known)
-        return 0
-    text = preset_text(name)
+        return
     target = Path(out_dir) / f"{name}.conf"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
-    if not quiet:
-        print(f"wrote {target}")
-    return 0
+    _write(preset_text(name), target, quiet, str(target))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,13 +101,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.command == "preset":
-            return _cmd_preset(args.name, args.out, args.quiet)
+            _cmd_preset(args.name, args.out, args.quiet)
+            return 0
         cfg = load_config(args.config)
         if args.command == "simulate":
-            return _cmd_simulate(cfg, args.threads, args.quiet)
-        if args.command == "scan":
-            return _cmd_scan(cfg, args.threads, args.quiet)
-        return _cmd_analyze(cfg, args.quiet)
+            _cmd_simulate(cfg, args.quiet)
+        elif args.command == "scan":
+            _cmd_scan(cfg, args.threads, args.quiet)
+        else:
+            path = cfg.output.report_path
+            _write(report_text(cfg), path, args.quiet, f"report to {path}")
+        return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -169,9 +169,7 @@ def _weighted_sum(terms, k):
 
 def _initial_state(system: MultiLambdaSystem, initial: StateVector | None) -> np.ndarray:
     if initial is None:
-        y = np.zeros(system.dimension, dtype=complex)
-        y[0] = 1.0
-        return y
+        initial = StateVector.initial(system.n_intermediate)
     if initial.amplitudes.size != system.dimension:
         raise ValueError("initial state dimension does not match the system")
     if abs(initial.norm() - 1.0) > 1e-8:

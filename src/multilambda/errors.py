@@ -7,6 +7,26 @@ that does not exist for the given system (for example detuning sums of a
 resonant system).
 """
 
+__all__ = [
+    "MultiLambdaError",
+    "ConfigError",
+    "ParseError",
+    "ValidationError",
+    "NumericalError",
+    "ToleranceNotMet",
+    "NormDriftExceeded",
+    "AmbiguousTracking",
+    "ZeroDetuningInSum",
+    "BothEnvelopesZero",
+    "NonSymmetricInput",
+    "DegenerateSums",
+    "NotSingleResonance",
+    "WrongResonanceCount",
+    "NotProportional",
+    "NoCrossing",
+    "PreconditionViolated",
+]
+
 
 class MultiLambdaError(Exception):
     """Base class for all errors raised by this package."""

@@ -104,11 +104,6 @@ class PulsePair:
             ws * (-2.0 * (t + self.delay) / self.width**2),
         )
 
-    def combined(self, t):
-        """Root-sum-square Rabi frequency sqrt(omega_p^2 + omega_s^2)."""
-        wp, ws = self.values(t)
-        return np.hypot(wp, ws)
-
     def default_window(self) -> tuple[float, float]:
         """Propagation window wide enough that envelopes are below e^-16 of peak."""
         half = 4.0 * self.width + self.delay
@@ -164,9 +159,6 @@ class MultiLambdaSystem:
         inputs.
         """
         return tuple(k for k, d in enumerate(self.detunings) if d == 0.0)
-
-    def coupling_ratios(self) -> tuple[float, ...]:
-        return tuple(a / b for a, b in zip(self.alphas, self.betas))
 
     def is_proportional(self, indices=None, rtol: float = PROPORTIONALITY_RTOL) -> bool:
         """True when alpha_k/beta_k agree (over ``indices`` or all states)."""
@@ -243,6 +235,39 @@ class SSums:
     def ab_is_zero(self, rtol: float = 1e-9) -> bool:
         return abs(self.s_ab) <= rtol * self.s_ab_scale
 
+    def residual(self) -> tuple[float, float]:
+        """S_a2*S_b2 - S_ab^2 and the magnitude scale for its zero test.
+
+        Off resonance the residual vanishes exactly when H has a zero
+        eigenvalue while both fields are on.
+        """
+        return (
+            self.s_a2 * self.s_b2 - self.s_ab * self.s_ab,
+            self.s_a2_scale * self.s_b2_scale + self.s_ab_scale * self.s_ab_scale,
+        )
+
+    def bracket(self, a: float, b: float) -> tuple[float, float]:
+        """a^2 S_b2 - 2ab S_ab + b^2 S_a2 and the magnitude scale for its zero test.
+
+        With ``a``, ``b`` the couplings of the one resonant state, and the
+        sums taken without it, this is the single-resonance zero-eigenvalue
+        expression.
+        """
+        return (
+            a * a * self.s_b2 - 2.0 * a * b * self.s_ab + b * b * self.s_a2,
+            a * a * self.s_b2_scale + 2.0 * abs(a * b) * self.s_ab_scale + b * b * self.s_a2_scale,
+        )
+
+    def crossing(self) -> bool:
+        """The off-resonant transfer rule: S_a2 and S_b2 nonzero with one sign.
+
+        Exactly then the effective two-state detuning
+        S_b2 omega_s^2 - S_a2 omega_p^2 changes sign across the pulse
+        sequence, so a transfer state exists and the avoided crossing is
+        defined.
+        """
+        return not self.a2_is_zero() and not self.b2_is_zero() and self.s_a2 * self.s_b2 > 0
+
 
 def s_sums(system: MultiLambdaSystem, excluded: int | None = None) -> SSums:
     """Compute the three detuning sums, optionally omitting one state.
@@ -318,9 +343,8 @@ def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray
 
 def det_offres_sum_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
     """det H for no resonant state, via the detuning sums."""
-    s = s_sums(system)
-    d = detuning_products(system).d_full
-    return omega_p**2 * omega_s**2 * d * (s.s_a2 * s.s_b2 - s.s_ab**2)
+    residual, _ = s_sums(system).residual()
+    return omega_p**2 * omega_s**2 * detuning_products(system).d_full * residual
 
 
 def det_offres_pair_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
@@ -339,11 +363,8 @@ def det_single_res_sum_form(
     system: MultiLambdaSystem, omega_p: float, omega_s: float, n: int
 ) -> float:
     """det H with state ``n`` resonant, via the excluded detuning sums."""
-    s = s_sums(system, excluded=n)
-    dn = detuning_products(system).d_excl_one(n)
-    an, bn = system.alphas[n], system.betas[n]
-    bracket = an * an * s.s_b2 - 2.0 * an * bn * s.s_ab + bn * bn * s.s_a2
-    return omega_p**2 * omega_s**2 * dn * bracket
+    bracket, _ = s_sums(system, excluded=n).bracket(system.alphas[n], system.betas[n])
+    return omega_p**2 * omega_s**2 * detuning_products(system).d_excl_one(n) * bracket
 
 
 def det_single_res_pair_form(

@@ -14,59 +14,23 @@ from .errors import ValidationError
 __all__ = ["PRESETS", "preset_names", "preset_text"]
 
 
-def _widths_scan(comment: str, system: str, start: float, stop: float, points: int, name: str) -> str:
+def _preset(name: str, comment: str, system: str, width: float | None, scan: tuple | None) -> str:
+    """Config text of one preset; ``scan`` is ``(axis, start, stop, points)``."""
+    pulses = "omega0 = 1" if width is None else f"omega0 = 1\nwidth = {width:g}"
+    scan_section = ""
+    if scan is not None:
+        axis, start, stop, points = scan
+        scan_section = (
+            f"[scan]\naxis = {axis}\nstart = {start:g}\nstop = {stop:g}\npoints = {points}\n\n"
+        )
     return f"""# {comment}
 [system]
 {system}
 
 [pulses]
-omega0 = 1
+{pulses}
 
-[scan]
-axis = pulse_width
-start = {start:g}
-stop = {stop:g}
-points = {points}
-
-[output]
-csv = {name}.csv
-report = {name}.txt
-"""
-
-
-def _single_run(comment: str, system: str, width: float, name: str) -> str:
-    return f"""# {comment}
-[system]
-{system}
-
-[pulses]
-omega0 = 1
-width = {width:g}
-
-[output]
-csv = {name}.csv
-report = {name}.txt
-"""
-
-
-def _detuning_scan(
-    comment: str, system: str, width: float, start: float, stop: float, points: int, name: str
-) -> str:
-    return f"""# {comment}
-[system]
-{system}
-
-[pulses]
-omega0 = 1
-width = {width:g}
-
-[scan]
-axis = common_detuning
-start = {start:g}
-stop = {stop:g}
-points = {points}
-
-[output]
+{scan_section}[output]
 csv = {name}.csv
 report = {name}.txt
 """
@@ -96,10 +60,6 @@ _N2_BROKEN = """alphas = 1, 2
 betas = 1, 0.5
 detunings = -0.5, 0.5"""
 
-_N2_RESONANT_BASE = """alphas = 1, 2
-betas = 1, 0.5
-detunings = 0, 1"""
-
 _RES_DARK = """alphas = 1, 0.5
 betas = 1, 0.5
 detunings = 0, 1"""
@@ -114,93 +74,64 @@ detunings = 0, 1, 2, 3, 4"""
 
 _LZ_COUPLINGS = "alphas = 1, 0.6, 1.2\nbetas = 1, 1, 0.6"
 
-PRESETS: dict[str, str] = {
-    "n3_dark_widths": _widths_scan(
-        "Proportional N=3 couplings: dark state carries the transfer.",
-        _N3_DARK, 2, 80, 40, "n3_dark_widths",
-    ),
-    "n3_transfer_state_widths": _widths_scan(
-        "N=3 with vanishing zero-eigenvalue residual: general transfer state.",
-        _N3_TRANSFER, 2, 80, 40, "n3_transfer_state_widths",
-    ),
-    "n3_double_zero_widths": _widths_scan(
-        "Proportional N=3 with all detuning sums zero: doubly degenerate"
-        " trapped state, transfer saturates below one.",
-        _N3_DOUBLE_ZERO, 2, 80, 40, "n3_double_zero_widths",
-    ),
-    "n3_blocked_widths": _widths_scan(
-        "N=3 with a vanishing Stokes detuning sum: no transfer state.",
-        _N3_BLOCKED, 2, 80, 40, "n3_blocked_widths",
-    ),
-    "n2_linked_widths": _widths_scan(
-        "N=2 off-resonant, detuning sums share a sign: transfer converges.",
-        _N2_LINKED, 2, 80, 40, "n2_linked_widths",
-    ),
-    "n2_broken_widths": _widths_scan(
-        "N=2 off-resonant, detuning sums of opposite sign: transfer dies off.",
-        _N2_BROKEN, 2, 80, 40, "n2_broken_widths",
-    ),
-    "resonant_dark_widths": _widths_scan(
-        "One resonant state, proportional couplings: dark-state transfer.",
-        _RES_DARK, 2, 80, 40, "resonant_dark_widths",
-    ),
-    "resonant_general_widths": _widths_scan(
-        "One resonant state, non-proportional couplings: general transfer state.",
-        _RES_GENERAL, 2, 80, 40, "resonant_general_widths",
-    ),
-    "lz_xi_zero_widths": _widths_scan(
-        "Cross detuning sum exactly zero: slowest approach to adiabaticity.",
-        _LZ_COUPLINGS + "\ndetunings = -25/24, 1, 2", 2, 40, 39, "lz_xi_zero_widths",
-    ),
-    "lz_xi_small_widths": _widths_scan(
-        "Small avoided-crossing parameter: slow approach to adiabaticity.",
-        _LZ_COUPLINGS + "\ndetunings = -2, 1, 2", 2, 40, 39, "lz_xi_small_widths",
-    ),
-    "lz_xi_large_widths": _widths_scan(
-        "Large avoided-crossing parameter: fast approach to adiabaticity.",
-        _LZ_COUPLINGS + "\ndetunings = -0.5, -1.5, -2.5", 2, 40, 39, "lz_xi_large_widths",
-    ),
-    "n3_dark_time": _single_run(
-        "Single adiabatic run of the proportional N=3 system.",
-        _N3_DARK, 30, "n3_dark_time",
-    ),
-    "n3_transfer_state_time": _single_run(
-        "Single adiabatic run of the N=3 general-transfer-state system.",
-        _N3_TRANSFER, 30, "n3_transfer_state_time",
-    ),
-    "n2_linked_time": _single_run(
-        "Single run of the N=2 system whose eigenvalue curve links i to f.",
-        _N2_LINKED, 30, "n2_linked_time",
-    ),
-    "n2_broken_time": _single_run(
-        "Single run of the N=2 system whose eigenvalue curve returns to i.",
-        _N2_BROKEN, 30, "n2_broken_time",
-    ),
-    "resonant_dark_time": _single_run(
-        "Single resonant run, proportional couplings: intermediate states stay empty.",
-        _RES_DARK, 80, "resonant_dark_time",
-    ),
-    "resonant_general_time": _single_run(
-        "Single resonant run, non-proportional couplings: transient intermediate population.",
-        _RES_GENERAL, 80, "resonant_general_time",
-    ),
-    "n2_detuning_scan_t20": _detuning_scan(
-        "Common-detuning sweep of the N=2 system, moderate pulse area.",
-        _N2_RESONANT_BASE, 20, -2, 1, 301, "n2_detuning_scan_t20",
-    ),
-    "n2_detuning_scan_t80": _detuning_scan(
-        "Common-detuning sweep of the N=2 system, large pulse area.",
-        _N2_RESONANT_BASE, 80, -2, 1, 301, "n2_detuning_scan_t80",
-    ),
-    "n5_detuning_scan_t20": _detuning_scan(
-        "Common-detuning sweep across an N=5 manifold, moderate pulse area.",
-        _N5_RANDOM, 20, -6, 2, 241, "n5_detuning_scan_t20",
-    ),
-    "n5_detuning_scan_t80": _detuning_scan(
-        "Common-detuning sweep across an N=5 manifold, large pulse area.",
-        _N5_RANDOM, 80, -6, 2, 241, "n5_detuning_scan_t80",
-    ),
-}
+_WIDTHS = ("pulse_width", 2, 80, 40)
+_LZ_WIDTHS = ("pulse_width", 2, 40, 39)
+_N2_DETUNINGS = ("common_detuning", -2, 1, 301)
+_N5_DETUNINGS = ("common_detuning", -6, 2, 241)
+
+# name, comment, [system] body, pulse width (None on width scans), scan
+_ROWS = (
+    ("n3_dark_widths", "Proportional N=3 couplings: dark state carries the transfer.",
+     _N3_DARK, None, _WIDTHS),
+    ("n3_transfer_state_widths",
+     "N=3 with vanishing zero-eigenvalue residual: general transfer state.",
+     _N3_TRANSFER, None, _WIDTHS),
+    ("n3_double_zero_widths",
+     "Proportional N=3 with all detuning sums zero: doubly degenerate"
+     " trapped state, transfer saturates below one.",
+     _N3_DOUBLE_ZERO, None, _WIDTHS),
+    ("n3_blocked_widths", "N=3 with a vanishing Stokes detuning sum: no transfer state.",
+     _N3_BLOCKED, None, _WIDTHS),
+    ("n2_linked_widths", "N=2 off-resonant, detuning sums share a sign: transfer converges.",
+     _N2_LINKED, None, _WIDTHS),
+    ("n2_broken_widths", "N=2 off-resonant, detuning sums of opposite sign: transfer dies off.",
+     _N2_BROKEN, None, _WIDTHS),
+    ("resonant_dark_widths", "One resonant state, proportional couplings: dark-state transfer.",
+     _RES_DARK, None, _WIDTHS),
+    ("resonant_general_widths",
+     "One resonant state, non-proportional couplings: general transfer state.",
+     _RES_GENERAL, None, _WIDTHS),
+    ("lz_xi_zero_widths", "Cross detuning sum exactly zero: slowest approach to adiabaticity.",
+     _LZ_COUPLINGS + "\ndetunings = -25/24, 1, 2", None, _LZ_WIDTHS),
+    ("lz_xi_small_widths", "Small avoided-crossing parameter: slow approach to adiabaticity.",
+     _LZ_COUPLINGS + "\ndetunings = -2, 1, 2", None, _LZ_WIDTHS),
+    ("lz_xi_large_widths", "Large avoided-crossing parameter: fast approach to adiabaticity.",
+     _LZ_COUPLINGS + "\ndetunings = -0.5, -1.5, -2.5", None, _LZ_WIDTHS),
+    ("n3_dark_time", "Single adiabatic run of the proportional N=3 system.",
+     _N3_DARK, 30, None),
+    ("n3_transfer_state_time", "Single adiabatic run of the N=3 general-transfer-state system.",
+     _N3_TRANSFER, 30, None),
+    ("n2_linked_time", "Single run of the N=2 system whose eigenvalue curve links i to f.",
+     _N2_LINKED, 30, None),
+    ("n2_broken_time", "Single run of the N=2 system whose eigenvalue curve returns to i.",
+     _N2_BROKEN, 30, None),
+    ("resonant_dark_time",
+     "Single resonant run, proportional couplings: intermediate states stay empty.",
+     _RES_DARK, 80, None),
+    ("resonant_general_time",
+     "Single resonant run, non-proportional couplings: transient intermediate population.",
+     _RES_GENERAL, 80, None),
+    ("n2_detuning_scan_t20", "Common-detuning sweep of the N=2 system, moderate pulse area.",
+     _RES_GENERAL, 20, _N2_DETUNINGS),
+    ("n2_detuning_scan_t80", "Common-detuning sweep of the N=2 system, large pulse area.",
+     _RES_GENERAL, 80, _N2_DETUNINGS),
+    ("n5_detuning_scan_t20", "Common-detuning sweep across an N=5 manifold, moderate pulse area.",
+     _N5_RANDOM, 20, _N5_DETUNINGS),
+    ("n5_detuning_scan_t80", "Common-detuning sweep across an N=5 manifold, large pulse area.",
+     _N5_RANDOM, 80, _N5_DETUNINGS),
+)
+
+PRESETS: dict[str, str] = {row[0]: _preset(*row) for row in _ROWS}
 
 
 def preset_names() -> list[str]:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
-from .analysis import AtClassification, Regime, classify, lz_estimate, no_at_intervals
+from .analysis import AtClassification, LzEstimate, classify, lz_estimate, no_at_intervals
 from .config import RunConfig, ScanAxis
 # ``propagate`` is not called here but stays a module attribute: the
 # benchmark's traced run wraps ``runner.propagate`` by name, next to
@@ -30,7 +29,7 @@ from .dynamics import propagate, propagate_batch  # noqa: F401
 from .errors import NoCrossing, NumericalError
 from .model import MultiLambdaSystem, PulsePair
 
-__all__ = ["ScanRow", "evaluate_point", "run_scan", "format_csv", "write_csv", "report_text"]
+__all__ = ["ScanRow", "evaluate_point", "run_scan", "format_csv", "report_text"]
 
 CSV_HEADER = "scan_value,pf,max_intermediate_pop,at_verdict,xi,seconds"
 
@@ -52,21 +51,20 @@ def _point_inputs(cfg: RunConfig, value: float | None) -> tuple[MultiLambdaSyste
         return system, pulses
     if cfg.scan.axis is ScanAxis.PULSE_WIDTH:
         ratio = pulses.delay / pulses.width
-        pulses = PulsePair(
-            omega0=pulses.omega0, width=value, delay=ratio * value, shape=pulses.shape
-        )
+        pulses = replace(pulses, width=value, delay=ratio * value)
     else:
         system = system.with_common_detuning(value)
     return system, pulses
 
 
-def _xi_or_none(system: MultiLambdaSystem, pulses: PulsePair) -> float | None:
+def _lz_or_reason(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate | str:
+    """The Landau-Zener estimate, or the reason it does not apply."""
     if system.resonant_indices():
-        return None
+        return "resonant state present"
     try:
-        return lz_estimate(system, pulses).xi
-    except NoCrossing:
-        return None
+        return lz_estimate(system, pulses)
+    except NoCrossing as exc:
+        return str(exc)
 
 
 def _evaluate_chunk(cfg: RunConfig, values: list[float | None]) -> list[ScanRow]:
@@ -76,7 +74,8 @@ def _evaluate_chunk(cfg: RunConfig, values: list[float | None]) -> list[ScanRow]
     for system, pulses in inputs:
         started = time.perf_counter()
         verdict = classify(system).at_state.value
-        xi = _xi_or_none(system, pulses)
+        est = _lz_or_reason(system, pulses)
+        xi = None if isinstance(est, str) else est.xi
         own.append((verdict, xi, time.perf_counter() - started))
     started = time.perf_counter()
     try:
@@ -152,12 +151,6 @@ def format_csv(rows: list[ScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows: list[ScanRow], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(rows))
-
-
 def _sums_lines(outcome: AtClassification) -> list[str]:
     s = outcome.s_sums
     if s is None:
@@ -172,19 +165,6 @@ def _at_line(outcome: AtClassification) -> str:
         return f"transfer state: does not exist; condition: {outcome.reason}"
     kind = "dark" if outcome.at_state.value == "dark" else "general"
     return f"transfer state: exists ({kind}); condition: {outcome.reason}"
-
-
-def _lz_lines(system: MultiLambdaSystem, pulses: PulsePair) -> list[str]:
-    if system.resonant_indices():
-        return ["avoided crossing: not applicable (resonant state present)"]
-    try:
-        est = lz_estimate(system, pulses)
-    except NoCrossing as exc:
-        return [f"avoided crossing: not applicable ({exc})"]
-    return [
-        f"avoided crossing: t_c = {est.t_c:.6g}, xi = {est.xi:.6g},"
-        f" estimated final population {est.pf_estimate:.6g}"
-    ]
 
 
 def report_text(cfg: RunConfig) -> str:
@@ -213,5 +193,12 @@ def report_text(cfg: RunConfig) -> str:
             lines.append(f"no-transfer windows in [{lo:.6g}, {hi:.6g}]: {spans}")
         else:
             lines.append(f"no-transfer windows in [{lo:.6g}, {hi:.6g}]: none")
-    lines.extend(_lz_lines(system, pulses))
+    est = _lz_or_reason(system, pulses)
+    if isinstance(est, str):
+        lines.append(f"avoided crossing: not applicable ({est})")
+    else:
+        lines.append(
+            f"avoided crossing: t_c = {est.t_c:.6g}, xi = {est.xi:.6g},"
+            f" estimated final population {est.pf_estimate:.6g}"
+        )
     return "\n".join(lines) + "\n"

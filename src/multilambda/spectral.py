@@ -236,7 +236,7 @@ def asymptotic_eigenvalues_offres(
     swap.  The denominator sum must not vanish.
     """
     s = s_sums(system)
-    res = s.s_a2 * s.s_b2 - s.s_ab**2
+    res, _ = s.residual()
     if side is Side.EARLY:
         if s.b2_is_zero():
             raise DegenerateSums("S_b2 vanishes; early asymptotics undefined")
@@ -262,9 +262,8 @@ def asymptotic_eigenvalues_res(
         raise NotSingleResonance(
             f"need detuning {n} exactly zero and all others nonzero, got zeros at {res}"
         )
-    s = s_sums(system, excluded=n)
     an, bn = system.alphas[n], system.betas[n]
-    bracket = an * an * s.s_b2 - 2.0 * an * bn * s.s_ab + bn * bn * s.s_a2
+    bracket, _ = s_sums(system, excluded=n).bracket(an, bn)
     if side is Side.EARLY:
         return AsymptoticEigenvalues(
             side,

@@ -8,7 +8,10 @@ is frozen here so a regression cannot silently move it.
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from multilambda import MultiLambdaSystem, PulsePair
+from multilambda.presets import preset_names, preset_text
 
 
 def pulses(width: float, omega0: float = 1.0) -> PulsePair:
@@ -88,3 +91,49 @@ PF_PREDICTION_DOUBLE_ZERO = 0.488469973
 # Pinned: boundaries of the no-transfer window of SCAN_BASE, exact roots of
 # 1/x + 4/(1+x) = 0 and 1/x + 0.25/(1+x) = 0.
 WINDOW_BOUNDS = (-0.8, -0.2)
+
+
+# Malformed-config fuzzing: edits of the bundled preset texts.
+_NUMERIC_KEYS = ("alphas", "betas", "detunings", "omega0", "width", "start", "stop", "points")
+# Values no numeric key accepts, whichever section it sits in.
+NOT_NUMBERS = ("x", "1.2.3", "1/0", "--1", "2e", "0x1p3", "1/2/3")
+
+
+def _numeric(line: str) -> bool:
+    return line.partition("=")[0].strip() in _NUMERIC_KEYS
+
+
+@st.composite
+def mutated_presets(draw, malformed: bool = False) -> str:
+    """A preset text with lines dropped or duplicated or a number corrupted.
+
+    A corrupted number has one list item replaced by arbitrary text.  With
+    ``malformed`` a last edit makes the text invalid for certain: it
+    duplicates a key or section line, or replaces a numeric value with one
+    of ``NOT_NUMBERS``.
+    """
+    lines = preset_text(draw(st.sampled_from(preset_names()))).splitlines()
+    for _ in range(draw(st.integers(0 if malformed else 1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "duplicate", "corrupt")))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif _numeric(lines[i]):
+            key, _, value = lines[i].partition("=")
+            items = value.split(",")
+            items[draw(st.integers(0, len(items) - 1))] = draw(st.text(max_size=8))
+            lines[i] = key + "=" + ",".join(items)
+    if malformed:
+        edit = draw(st.sampled_from(("key", "section", "number")))
+        if edit == "number":
+            i = draw(st.sampled_from([k for k, line in enumerate(lines) if _numeric(line)]))
+            lines[i] = lines[i].partition("=")[0] + "= " + draw(st.sampled_from(NOT_NUMBERS))
+        else:
+            if edit == "key":
+                pick = [k for k, line in enumerate(lines) if "=" in line and line[0] != "#"]
+            else:
+                pick = [k for k, line in enumerate(lines) if line.startswith("[")]
+            lines.insert(draw(st.integers(0, len(lines))), lines[draw(st.sampled_from(pick))])
+    return "\n".join(lines) + "\n"

@@ -25,6 +25,7 @@ from multilambda.dynamics import (
     PropagationResult,
     pf_degenerate_prediction,
     propagate,
+    propagate_batch,
 )
 from multilambda.model import (
     MultiLambdaSystem,
@@ -96,10 +97,13 @@ def test_criterion_1_detuning_window(criterion_log):
     pair = pulses(80.0)
     xs = np.linspace(-2.0, 1.0, 61)
     gated = {10: -1.5, 30: -0.5, 50: 0.5}  # indices of the thresholded points
+    # One batched call; each point takes the steps it would take alone.
+    cfg = IntegratorConfig()
+    shifted = [SCAN_BASE.with_common_detuning(float(x)) for x in xs]
+    results = propagate_batch([(system, pair) for system in shifted], cfg)
     pf = {}
-    for i, x in enumerate(xs):
-        shifted = SCAN_BASE.with_common_detuning(float(x))
-        result = _run(f"window scan x={x:+.2f}", shifted, pair, halve=i in gated)
+    for i, (x, system, result) in enumerate(zip(xs, shifted, results)):
+        REGISTRY.append(_Run(f"window scan x={x:+.2f}", system, pair, cfg, result, i in gated))
         if i in gated:
             pf[gated[i]] = result.final_pf
 
@@ -285,17 +289,20 @@ def test_criterion_8_unitarity_and_convergence(criterion_log):
     # runs last: audits every propagation the earlier criteria performed
     assert len(REGISTRY) >= 61
     worst_norm = max(entry.result.final_norm_error for entry in REGISTRY)
-    worst_shift = 0.0
+    # Rerun at halved tolerance, one batch per dimension and configuration.
+    groups: dict[tuple[int, IntegratorConfig], list[_Run]] = {}
     for entry in REGISTRY:
-        if not entry.halve:
-            continue
+        if entry.halve:
+            key = (entry.system.dimension, entry.config)
+            groups.setdefault(key, []).append(entry)
+    worst_shift = 0.0
+    for (_, config), entries in groups.items():
         tighter = dataclasses.replace(
-            entry.config,
-            rel_tol=entry.config.rel_tol / 2.0,
-            abs_tol=entry.config.abs_tol / 2.0,
+            config, rel_tol=config.rel_tol / 2.0, abs_tol=config.abs_tol / 2.0
         )
-        rerun = propagate(entry.system, entry.pulses, tighter)
-        worst_shift = max(worst_shift, abs(rerun.final_pf - entry.result.final_pf))
+        reruns = propagate_batch([(e.system, e.pulses) for e in entries], tighter)
+        for entry, rerun in zip(entries, reruns):
+            worst_shift = max(worst_shift, abs(rerun.final_pf - entry.result.final_pf))
     ok = worst_norm < 1e-6 and worst_shift < 1e-3
     detail = (
         f"{len(REGISTRY)} propagations, worst |norm-1| = {worst_norm:.3e}, "

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilambda import (
     AtState,
@@ -22,6 +24,7 @@ from multilambda import (
     lz_estimate,
     no_at_intervals,
     propagate,
+    propagate_batch,
     reduce_degenerate,
     s_sums,
 )
@@ -149,7 +152,8 @@ class TestConsistencyWithPropagation:
         # the adiabatic limit to be reached at this pulse area
         rng = np.random.default_rng(7)
         pul = pulses(80.0)
-        checked = skipped = 0
+        by_dimension: dict[int, list[MultiLambdaSystem]] = {}
+        skipped = 0
         for _ in range(50):
             n = int(rng.integers(1, 5))
             al = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
@@ -160,15 +164,47 @@ class TestConsistencyWithPropagation:
             if abs(s.s_a2) < 0.05 * s.s_a2_scale or abs(s.s_b2) < 0.05 * s.s_b2_scale:
                 skipped += 1
                 continue
-            out = classify(system)
-            pf = propagate(system, pul).final_pf
-            checked += 1
-            if out.at_state is AtState.NOT_EXISTS:
-                assert pf < 0.2, f"{system}: verdict none but pf={pf:.4f}"
-            else:
-                assert pf > 0.8, f"{system}: verdict exists but pf={pf:.4f}"
+            by_dimension.setdefault(system.dimension, []).append(system)
+        checked = 0
+        # One batched call per dimension; each point takes the steps it
+        # would take alone.
+        for systems in by_dimension.values():
+            results = propagate_batch([(system, pul) for system in systems])
+            for system, result in zip(systems, results):
+                out = classify(system)
+                pf = result.final_pf
+                checked += 1
+                if out.at_state is AtState.NOT_EXISTS:
+                    assert pf < 0.2, f"{system}: verdict none but pf={pf:.4f}"
+                else:
+                    assert pf > 0.8, f"{system}: verdict exists but pf={pf:.4f}"
         assert checked >= 40
         assert skipped <= 10
+
+
+class TestTransferRule:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=5), seed=st.integers(0, 2**32 - 1))
+    def test_verdict_crossing_and_windows_follow_one_rule(self, n, seed):
+        # classify, lz_estimate and no_at_intervals must all apply
+        # SSums.crossing, the off-resonant transfer rule
+        rng = np.random.default_rng(seed)
+        al = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
+        be = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
+        de = rng.uniform(0.3, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        system = MultiLambdaSystem(tuple(al), tuple(be), tuple(de))
+        crossing = s_sums(system).crossing()
+        assert (classify(system).at_state is AtState.NOT_EXISTS) == (not crossing)
+        if crossing:
+            lz_estimate(system, pulses(20.0))
+        else:
+            with pytest.raises(NoCrossing):
+                lz_estimate(system, pulses(20.0))
+        for x0, x1 in no_at_intervals(system, -4.0, 4.0):
+            for frac in (0.25, 0.5, 0.75):
+                shifted = system.with_common_detuning(x0 + frac * (x1 - x0))
+                if not shifted.resonant_indices():
+                    assert classify(shifted).at_state is AtState.NOT_EXISTS
 
 
 class TestWindows:

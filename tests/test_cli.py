@@ -6,9 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import multilambda
 from multilambda.runner import CSV_HEADER
+
+from cases import mutated_presets
 
 PACKAGE_FILE = str(Path(multilambda.__file__).resolve())
 
@@ -219,3 +222,12 @@ class TestExitCodes:
     def test_usage_error_is_2(self, tmp_path):
         proc = run_cli(cwd=tmp_path)
         assert proc.returncode == 2
+
+    @settings(max_examples=8, deadline=None)
+    @given(text=mutated_presets(malformed=True))
+    def test_malformed_preset_is_2(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("malformed")
+        (work / "bad.conf").write_text(text)
+        proc = run_cli("analyze", "bad.conf", cwd=work)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config:")

@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from multilambda import (
     ConfigError,
@@ -13,6 +14,8 @@ from multilambda import (
     parse_config,
 )
 from multilambda.presets import preset_names, preset_text
+
+from cases import mutated_presets
 
 FULL_TEXT = """\
 # two-pathway benchmark
@@ -210,3 +213,19 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
             preset_text("does_not_exist")
+
+
+class TestMalformedPresets:
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_presets())
+    def test_edits_raise_only_config_errors(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=mutated_presets(malformed=True))
+    def test_malformed_edits_are_refused(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
