@@ -6,11 +6,19 @@ sections or keys are parse errors so that typos cannot silently fall back
 to defaults.  Values may be numbers, fractions like -2/3 (kept exact to
 double precision, which matters for constructing exactly-vanishing
 detuning sums), booleans, or comma-separated number lists.
+
+Each section's keys are the fields of the dataclass it builds, and every
+value rule lives on that dataclass: ``MultiLambdaSystem``, ``PulsePair``,
+``IntegratorConfig`` and ``ScanSpec`` refuse non-finite numbers and values
+outside their domain, for library callers and config files alike.  A value
+that is not a number is a ``ParseError`` carrying its line; a refused value
+or a missing key is a ``ValidationError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -18,7 +26,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig
 from .errors import ParseError, ValidationError
-from .model import MultiLambdaSystem, PulsePair, PulseShape
+from .model import MultiLambdaSystem, PulsePair
 
 __all__ = [
     "ScanAxis",
@@ -29,14 +37,6 @@ __all__ = [
     "load_config",
 ]
 
-_SECTION_KEYS = {
-    "system": {"n", "alphas", "betas", "detunings"},
-    "pulses": {"omega0", "width", "delay", "shape"},
-    "integrator": {"rel_tol", "abs_tol", "t_start", "t_end", "max_step", "store_every"},
-    "scan": {"axis", "start", "stop", "points", "log_scale"},
-    "output": {"csv", "report"},
-}
-
 
 class ScanAxis(Enum):
     PULSE_WIDTH = "pulse_width"
@@ -45,11 +45,27 @@ class ScanAxis(Enum):
 
 @dataclass(frozen=True)
 class ScanSpec:
+    """``points`` values from ``start`` to ``stop`` along one axis.
+
+    ``axis`` may be given as its string value.
+    """
+
     axis: ScanAxis
     start: float
     stop: float
     points: int
     log_scale: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "axis", ScanAxis(self.axis))
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("scan endpoints must be finite")
+        if self.points < 2:
+            raise ValueError("scan needs points >= 2")
+        if self.log_scale and (self.start <= 0 or self.stop <= 0):
+            raise ValueError("log-scale scan needs positive endpoints")
+        if self.axis is ScanAxis.PULSE_WIDTH and (self.start <= 0 or self.stop <= 0):
+            raise ValueError("pulse-width scan needs positive widths")
 
     def values(self) -> np.ndarray:
         if self.log_scale:
@@ -72,44 +88,54 @@ class RunConfig:
     output: OutputSpec
 
 
-def _parse_scalar(text: str, line: int, source: str) -> float:
+def _number(text: str) -> float:
     """Float literal, allowing a/b fractions for exact rational detunings."""
-    text = text.strip()
+    num, slash, den = text.strip().partition("/")
     try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return float(num) / float(den)
-        return float(text)
+        return float(num) / float(den) if slash else float(num)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a number: {text!r}", line=line, source=source) from None
+        raise ValueError(f"not a number: {text.strip()!r}") from None
 
 
-def _parse_list(text: str, line: int, source: str) -> tuple[float, ...]:
+def _numbers(text: str) -> tuple[float, ...]:
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
-        raise ParseError("empty list", line=line, source=source)
-    return tuple(_parse_scalar(piece, line, source) for piece in items)
+        raise ValueError("empty list")
+    return tuple(_number(piece) for piece in items)
 
 
-def _parse_int(text: str, line: int, source: str) -> int:
+def _integer(text: str) -> int:
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError:
-        raise ParseError(f"not an integer: {text.strip()!r}", line=line, source=source) from None
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _parse_bool(text: str, line: int, source: str) -> bool:
-    lowered = text.strip().lower()
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ParseError(f"not a boolean: {text.strip()!r}", line=line, source=source)
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _split_sections(text: str, source: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Raw section -> key -> (value text, line number) with syntax checking."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+# Section -> key -> value parser.  A parser raises ValueError on text that
+# is not a value of its kind; enum values stay strings for the dataclass.
+_SECTIONS = {
+    "system": {"n": _integer, "alphas": _numbers, "betas": _numbers, "detunings": _numbers},
+    "pulses": {"omega0": _number, "width": _number, "delay": _number, "shape": str},
+    "integrator": {"rel_tol": _number, "abs_tol": _number, "t_start": _number,
+                   "t_end": _number, "max_step": _number, "store_every": _integer},
+    "scan": {"axis": str, "start": _number, "stop": _number, "points": _integer,
+             "log_scale": _boolean},
+    "output": {"csv": Path, "report": Path},
+}
+
+
+def _read_sections(text: str, source: str) -> dict[str, dict[str, object]]:
+    """Section -> key -> parsed value, with syntax and value errors by line."""
+    sections: dict[str, dict[str, object]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -117,7 +143,7 @@ def _split_sections(text: str, source: str) -> dict[str, dict[str, tuple[str, in
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in _SECTIONS:
                 raise ParseError(f"unknown section [{name}]", line=lineno, source=source)
             if name in sections:
                 raise ParseError(f"duplicate section [{name}]", line=lineno, source=source)
@@ -130,12 +156,26 @@ def _split_sections(text: str, source: str) -> dict[str, dict[str, tuple[str, in
             raise ParseError("entry before any section header", line=lineno, source=source)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SECTION_KEYS[current]:
+        if key not in _SECTIONS[current]:
             raise ParseError(f"unknown key {key!r} in [{current}]", line=lineno, source=source)
         if key in sections[current]:
             raise ParseError(f"duplicate key {key!r}", line=lineno, source=source)
-        sections[current][key] = (value.strip(), lineno)
+        try:
+            sections[current][key] = _SECTIONS[current][key](value.strip())
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno, source=source) from None
     return sections
+
+
+def _build(cls, section: str, values: dict[str, object]):
+    """``cls(**values)``; a missing key or a refused value is a ValidationError."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ValidationError(f"[{section}] needs key {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def parse_config(text: str, source: str = "<string>", base_dir: Path | None = None) -> RunConfig:
@@ -144,106 +184,29 @@ def parse_config(text: str, source: str = "<string>", base_dir: Path | None = No
     Relative output paths are resolved against ``base_dir`` (the config
     file's directory when loaded from disk).
     """
-    sections = _split_sections(text, source)
-
-    sys_keys = sections.get("system")
-    if sys_keys is None:
+    sections = _read_sections(text, source)
+    if "system" not in sections:
         raise ValidationError("missing [system] section")
-    for required in ("alphas", "betas", "detunings"):
-        if required not in sys_keys:
-            raise ValidationError(f"[system] needs key {required!r}")
-    alphas = _parse_list(*_at(sys_keys, "alphas", source))
-    betas = _parse_list(*_at(sys_keys, "betas", source))
-    detunings = _parse_list(*_at(sys_keys, "detunings", source))
-    if "n" in sys_keys:
-        n = _parse_int(*_at(sys_keys, "n", source))
-        for name, values in (("alphas", alphas), ("betas", betas), ("detunings", detunings)):
-            if len(values) != n:
-                raise ValidationError(f"{name} has {len(values)} entries, n = {n}")
-    if not (len(alphas) == len(betas) == len(detunings)):
-        raise ValidationError(
-            f"coupling/detuning lengths differ: {len(alphas)}, {len(betas)}, {len(detunings)}"
-        )
-    try:
-        system = MultiLambdaSystem(alphas=alphas, betas=betas, detunings=detunings)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    n = sections["system"].pop("n", None)
+    system = _build(MultiLambdaSystem, "system", sections["system"])
+    if n is not None and n != system.n_intermediate:
+        raise ValidationError(f"n = {n}, but the lists have {system.n_intermediate} entries")
 
-    pul_keys = sections.get("pulses", {})
-    omega0 = _parse_scalar(*_at(pul_keys, "omega0", source)) if "omega0" in pul_keys else 1.0
-    width = _parse_scalar(*_at(pul_keys, "width", source)) if "width" in pul_keys else 30.0
-    if "delay" in pul_keys:
-        delay = _parse_scalar(*_at(pul_keys, "delay", source))
-    else:
-        delay = 0.5 * width
-    if "shape" in pul_keys:
-        shape_text = pul_keys["shape"][0]
-        try:
-            shape = PulseShape(shape_text)
-        except ValueError:
-            raise ValidationError(f"unsupported pulse shape {shape_text!r}") from None
-    else:
-        shape = PulseShape.GAUSSIAN
-    if omega0 <= 0:
+    pulses = {"omega0": 1.0, "width": 30.0, **sections.get("pulses", {})}
+    pulses.setdefault("delay", 0.5 * pulses["width"])
+    if pulses["omega0"] <= 0:
         raise ValidationError("omega0 must be positive")
-    try:
-        pulses = PulsePair(omega0=omega0, width=width, delay=delay, shape=shape)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
 
-    int_keys = sections.get("integrator", {})
-    int_kwargs: dict[str, object] = {}
-    for key in ("rel_tol", "abs_tol", "t_start", "t_end", "max_step"):
-        if key in int_keys:
-            int_kwargs[key] = _parse_scalar(*_at(int_keys, key, source))
-    if "store_every" in int_keys:
-        int_kwargs["store_every"] = _parse_int(*_at(int_keys, "store_every", source))
-    try:
-        integrator = IntegratorConfig(**int_kwargs)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-    scan: ScanSpec | None = None
-    if "scan" in sections:
-        scan_keys = sections["scan"]
-        for required in ("axis", "start", "stop", "points"):
-            if required not in scan_keys:
-                raise ValidationError(f"[scan] needs key {required!r}")
-        axis_text = scan_keys["axis"][0]
-        try:
-            axis = ScanAxis(axis_text)
-        except ValueError:
-            raise ValidationError(f"unknown scan axis {axis_text!r}") from None
-        start = _parse_scalar(*_at(scan_keys, "start", source))
-        stop = _parse_scalar(*_at(scan_keys, "stop", source))
-        points = _parse_int(*_at(scan_keys, "points", source))
-        log_scale = (
-            _parse_bool(*_at(scan_keys, "log_scale", source)) if "log_scale" in scan_keys else False
-        )
-        if points < 2:
-            raise ValidationError("scan needs points >= 2")
-        if log_scale and (start <= 0 or stop <= 0):
-            raise ValidationError("log-scale scan needs positive endpoints")
-        if axis is ScanAxis.PULSE_WIDTH and (start <= 0 or stop <= 0):
-            raise ValidationError("pulse-width scan needs positive widths")
-        scan = ScanSpec(axis=axis, start=start, stop=stop, points=points, log_scale=log_scale)
-
-    out_keys = sections.get("output", {})
+    scan = sections.get("scan")
     root = base_dir if base_dir is not None else Path.cwd()
-
-    def _path(key: str) -> Path | None:
-        if key not in out_keys:
-            return None
-        p = Path(out_keys[key][0])
-        return p if p.is_absolute() else root / p
-
-    output = OutputSpec(csv_path=_path("csv"), report_path=_path("report"))
-    return RunConfig(system=system, pulses=pulses, integrator=integrator, scan=scan, output=output)
-
-
-def _at(keys: dict[str, tuple[str, int]], key: str, source: str) -> tuple[str, int, str]:
-    value, line = keys[key]
-    return value, line, source
+    output = {key: root / path for key, path in sections.get("output", {}).items()}
+    return RunConfig(
+        system=system,
+        pulses=_build(PulsePair, "pulses", pulses),
+        integrator=_build(IntegratorConfig, "integrator", sections.get("integrator", {})),
+        scan=None if scan is None else _build(ScanSpec, "scan", scan),
+        output=OutputSpec(csv_path=output.get("csv"), report_path=output.get("report")),
+    )
 
 
 def load_config(path: str | Path) -> RunConfig:

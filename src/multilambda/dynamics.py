@@ -26,7 +26,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NormDriftExceeded, NumericalError, PreconditionViolated, ToleranceNotMet
 from .model import (
@@ -48,19 +47,19 @@ __all__ = [
 
 # Dormand-Prince 5(4) tableau.  The last stage is evaluated at the step
 # endpoint with the 5th-order weights, so it doubles as the first stage of
-# the next step (FSAL).
+# the next step (FSAL).  Row i of ``_A`` weights stages 0..i-1.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
 # Difference between the 5th- and 4th-order weights, applied to k1..k7.
-_E = (
+_E = np.array([
     71 / 57600,
     0.0,
     -71 / 16695,
@@ -68,7 +67,7 @@ _E = (
     -17253 / 339200,
     22 / 525,
     -1 / 40,
-)
+])
 
 _SAFETY = 0.9
 _BETA = 0.04  # integral gain of the PI controller
@@ -96,6 +95,9 @@ class IntegratorConfig:
     store_every: int = 10
 
     def __post_init__(self) -> None:
+        values = (self.rel_tol, self.abs_tol, self.t_start, self.t_end, self.max_step)
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise ValueError("integrator settings must be finite")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.t_start is not None and self.t_end is not None and self.t_start >= self.t_end:
@@ -145,26 +147,10 @@ class PropagationResult:
         return StateVector(self.trajectory[k])
 
 
-# Stage times (as fractions of h) of the six stages evaluated per step, and
-# the nonzero tableau entries as (stage, coefficient) pairs.
+# Stage times (as fractions of h) of the six stages evaluated per step.
 _C_STEP = np.array(_C[1:])
-_A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A)
-_E_TERMS = tuple((j, e) for j, e in enumerate(_E) if e != 0.0)
 _FAC_LO = 1.0 / _MAX_GROW
 _FAC_HI = 1.0 / _MAX_SHRINK
-
-
-def _weighted_sum(terms, k):
-    """sum(c * k[j]) in tableau order, as plain elementwise operations.
-
-    The order is fixed and no BLAS call is involved, so every row of the
-    result is the same whatever the other rows of the batch are.
-    """
-    j, c = terms[0]
-    out = c * k[j]
-    for j, c in terms[1:]:
-        out += c * k[j]
-    return out
 
 
 def _initial_state(system: MultiLambdaSystem, initial: StateVector | None) -> np.ndarray:
@@ -309,14 +295,18 @@ def propagate_batch(
         else:
             hc = h[:, None]
             g = generators(t[:, None] + _C_STEP * hc)
-            k = [k0]
+            # Stage and error sums reduce over the stage axis in tableau
+            # order with no BLAS call, so each row is independent of the
+            # other rows of the batch.
+            k = np.empty((7, *y.shape), dtype=complex)
+            k[0] = k0
             for i in range(1, 7):
-                yi = _weighted_sum(_A_TERMS[i], k)
+                yi = np.add.reduce(_A[i, :i, None, None] * k[:i], axis=0)
                 yi *= hc
                 yi += y
-                k.append(rhs(g[i - 1], yi))
+                k[i] = rhs(g[i - 1], yi)
             y_new = yi  # stage 7 argument is the 5th-order solution (FSAL)
-            err_vec = hc * _weighted_sum(_E_TERMS, k)
+            err_vec = hc * np.add.reduce(_E[:, None, None] * k, axis=0)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err = np.sqrt(np.add.reduce(np.abs(err_vec / scale) ** 2, axis=-1) / y.shape[1])
             n_rhs += 6
@@ -418,6 +408,8 @@ def pf_degenerate_prediction(
     normalization factor.  The integral is evaluated by adaptive quadrature
     over the propagation window.
     """
+    from scipy.integrate import quad  # SciPy's import cost is paid only here
+
     s = s_sums(system)  # raises ZeroDetuningInSum for resonant systems
     if not system.is_proportional():
         raise PreconditionViolated("couplings must be proportional")

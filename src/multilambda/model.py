@@ -82,6 +82,8 @@ class PulsePair:
     shape: PulseShape = PulseShape.GAUSSIAN
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.omega0, self.width, self.delay))):
+            raise ValueError("pulse parameters must be finite")
         # omega0 == 0 is allowed as the fields-off limit; negative makes no sense.
         if self.omega0 < 0:
             raise ValueError("omega0 must be nonnegative")
@@ -138,6 +140,8 @@ class MultiLambdaSystem:
             raise ValueError("need at least one intermediate state")
         if len(betas) != n or len(detunings) != n:
             raise ValueError("alphas, betas and detunings must have equal length")
+        if not all(map(math.isfinite, alphas + betas + detunings)):
+            raise ValueError("couplings and detunings must be finite")
         if any(a <= 0 for a in alphas) or any(b <= 0 for b in betas):
             raise ValueError("coupling weights must be positive")
         if self.enforce_normalization and (alphas[0] != 1.0 or betas[0] != 1.0):
@@ -187,6 +191,8 @@ class StateVector:
         arr = np.array(self.amplitudes, dtype=complex)
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("state vector needs at least 3 amplitudes in one dimension")
+        if not np.isfinite(arr).all():
+            raise ValueError("state vector amplitudes must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 

@@ -95,8 +95,14 @@ WINDOW_BOUNDS = (-0.8, -0.2)
 
 # Malformed-config fuzzing: edits of the bundled preset texts.
 _NUMERIC_KEYS = ("alphas", "betas", "detunings", "omega0", "width", "start", "stop", "points")
-# Values no numeric key accepts, whichever section it sits in.
-NOT_NUMBERS = ("x", "1.2.3", "1/0", "--1", "2e", "0x1p3", "1/2/3")
+# Values no numeric key accepts, whichever section it sits in: text that is
+# not a number, and numbers that are not finite (1e400 overflows to inf,
+# inf/inf is nan).
+NOT_NUMBERS = (
+    "x", "1.2.3", "1/0", "--1", "2e", "0x1p3", "1/2/3", "nan", "inf", "-inf", "1e400", "inf/inf"
+)
+# Non-finite floats, which every run-input dataclass refuses.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 def _numeric(line: str) -> bool:

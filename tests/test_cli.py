@@ -88,6 +88,14 @@ def subprocess_imports_package_under_test(tmp_path_factory):
     assert proc.stdout.strip() == PACKAGE_FILE
 
 
+def test_cli_import_leaves_scipy_out(tmp_path):
+    proc = run_python(
+        "-c", "import sys, multilambda.cli; print('scipy' in sys.modules)", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def strip_seconds(csv_text: str) -> list[str]:
     return [",".join(line.split(",")[:5]) for line in csv_text.strip().splitlines()]
 
@@ -218,6 +226,18 @@ class TestExitCodes:
         proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: numeric:")
+
+    def test_non_finite_config_is_2(self, tmp_path):
+        # nan fails every sign test, so this once printed a made-up verdict
+        (tmp_path / "bad.conf").write_text(
+            SINGLE_RUN.replace("detunings = 0.5", "detunings = nan").replace(
+                "width = 10", "width = inf"
+            )
+        )
+        proc = run_cli("analyze", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config:")
+        assert proc.stdout == ""
 
     def test_usage_error_is_2(self, tmp_path):
         proc = run_cli(cwd=tmp_path)

@@ -9,13 +9,14 @@ from multilambda import (
     ConfigError,
     ParseError,
     ScanAxis,
+    ScanSpec,
     ValidationError,
     load_config,
     parse_config,
 )
 from multilambda.presets import preset_names, preset_text
 
-from cases import mutated_presets
+from cases import NON_FINITE, mutated_presets
 
 FULL_TEXT = """\
 # two-pathway benchmark
@@ -172,6 +173,18 @@ class TestValidationErrors:
         with pytest.raises(ValidationError):
             parse_config(self._conf(scan="axis = sideways\nstart = 0\nstop = 1\npoints = 5"))
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "inf/inf"])
+    def test_non_finite_refused(self, text):
+        for conf in (
+            self._conf(system=f"alphas = 1, 2\nbetas = 1, 0.5\ndetunings = {text}, 1.5"),
+            self._conf(pulses=f"width = {text}"),
+            self._conf(pulses=f"width = 30\ndelay = {text}"),
+            self._conf(scan=f"axis = common_detuning\nstart = -2\nstop = {text}\npoints = 5"),
+            self._conf() + f"\n[integrator]\nmax_step = {text}\n",
+        ):
+            with pytest.raises(ValidationError, match="finite"):
+                parse_config(conf)
+
     def test_missing_system(self):
         with pytest.raises(ValidationError):
             parse_config("[pulses]\nwidth = 30\n")
@@ -181,6 +194,30 @@ class TestValidationErrors:
                 "\n[pulses]\nwidth = 30\n\n[integrator]\nrel_tol = 0\n")
         with pytest.raises(ValidationError):
             parse_config(text)
+
+
+class TestScanSpec:
+    """The scan rules hold for library-built specs, not only parsed ones."""
+
+    def test_axis_coerced_from_string(self):
+        spec = ScanSpec(axis="pulse_width", start=2.0, stop=80.0, points=5)
+        assert spec.axis is ScanAxis.PULSE_WIDTH
+        with pytest.raises(ValueError):
+            ScanSpec(axis="sideways", start=0.0, stop=1.0, points=5)
+
+    def test_rules(self):
+        with pytest.raises(ValueError, match="points"):
+            ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=1)
+        with pytest.raises(ValueError, match="log-scale"):
+            ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=5, log_scale=True)
+        with pytest.raises(ValueError, match="widths"):
+            ScanSpec(ScanAxis.PULSE_WIDTH, start=0.0, stop=10.0, points=5)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_refused(self, bad):
+        for start, stop in ((bad, 1.0), (-1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                ScanSpec(ScanAxis.COMMON_DETUNING, start=start, stop=stop, points=5)
 
 
 class TestFiles:

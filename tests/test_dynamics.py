@@ -22,6 +22,7 @@ from cases import (
     DARK3,
     DOUBLE_ZERO,
     LINKED,
+    NON_FINITE,
     PF_PREDICTION_DOUBLE_ZERO,
     RES_GENERAL,
     SCAN_BASE,
@@ -241,6 +242,12 @@ class TestFailureModes:
             IntegratorConfig(max_step=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(store_every=0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "t_start", "t_end", "max_step"])
+    def test_non_finite_refused(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**{field: bad})
 
 
 class TestDegeneratePrediction:

@@ -31,6 +31,7 @@ from cases import (
     DARK3,
     DEGEN_PROP_RES_ONLY,
     LINKED,
+    NON_FINITE,
     RES_DARK,
     RES_GENERAL,
     SCAN_BASE,
@@ -84,6 +85,12 @@ class TestPulsePair:
         with pytest.raises(ValueError):
             PulsePair(omega0=1.0, width=10, delay=0.0)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["omega0", "width", "delay"])
+    def test_non_finite_refused(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PulsePair(**{"omega0": 1.0, "width": 10.0, "delay": 5.0, field: bad})
+
     def test_shape_coerced_from_string(self):
         pul = PulsePair(omega0=1.0, width=10, delay=5, shape="gaussian")
         assert pul.shape.value == "gaussian"
@@ -103,6 +110,15 @@ class TestSystem:
             MultiLambdaSystem((2, 1), (1, 1), (1, 2))
         # reduction products carry a boosted first coupling
         MultiLambdaSystem((2, 1), (1, 1), (1, 2), enforce_normalization=False)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_refused(self, bad):
+        for fields in [((1, bad), (1, 1), (1, 2)), ((1, 1), (1, bad), (1, 2)),
+                       ((1, 1), (1, 1), (bad, 2))]:
+            with pytest.raises(ValueError, match="finite"):
+                MultiLambdaSystem(*fields, enforce_normalization=False)
+        with pytest.raises(ValueError, match="finite"):
+            LINKED.with_common_detuning(bad)
 
     def test_resonance_detection_is_exact(self):
         assert RES_DARK.resonant_indices() == (0,)
@@ -140,6 +156,11 @@ class TestStateVector:
             StateVector(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             StateVector(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE + (complex(0.0, float("nan")),))
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(np.array([1.0, bad, 0.0]))
 
 
 class TestHamiltonian:
