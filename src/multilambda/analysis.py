@@ -22,13 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoCrossing, NotProportional, PreconditionViolated, WrongResonanceCount
-from .model import (
-    PROPORTIONALITY_RTOL,
-    MultiLambdaSystem,
-    PulsePair,
-    SSums,
-    s_sums,
-)
+from .model import MultiLambdaSystem, PulsePair, SSums, s_sums
 
 __all__ = [
     "Regime",
@@ -46,7 +40,6 @@ __all__ = [
     "lz_estimate",
 ]
 
-_ZERO_RTOL = 1e-9
 _MARGINAL_RTOL = 1e-9
 
 
@@ -88,31 +81,22 @@ class AtClassification:
 
 def _classify_off_resonant(system: MultiLambdaSystem) -> AtClassification:
     s = s_sums(system)
-    a2z, b2z, abz = s.a2_is_zero(), s.b2_is_zero(), s.ab_is_zero()
-    double = a2z and b2z and abz
-
-    residual, residual_scale = s.residual()
-    if double:
-        zero = ZeroEigenvalue.DOUBLE
-    elif abs(residual) <= _ZERO_RTOL * residual_scale:
-        zero = ZeroEigenvalue.SIMPLE
-    else:
-        zero = ZeroEigenvalue.NONE
-
-    if double:
+    if s.all_zero():
         # The transfer state is degenerate with a second zero-eigenvalue
         # state for the whole pulse sequence; population oscillates between
         # them instead of following either.
         return AtClassification(
-            Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "double-zero-eigenvalue", s
+            Regime.OFF_RESONANT, ZeroEigenvalue.DOUBLE, AtState.NOT_EXISTS,
+            "double-zero-eigenvalue", s,
         )
+    zero = ZeroEigenvalue.SIMPLE if s.residual_is_zero() else ZeroEigenvalue.NONE
     if system.is_proportional():
         return AtClassification(
             Regime.OFF_RESONANT, zero, AtState.EXISTS_DARK, "proportional-dark-state", s
         )
-    if a2z:
+    if s.a2_is_zero():
         return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "pump-sum-zero", s)
-    if b2z:
+    if s.b2_is_zero():
         return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "stokes-sum-zero", s)
 
     state = AtState.EXISTS_GENERAL if s.crossing() else AtState.NOT_EXISTS
@@ -130,8 +114,8 @@ def _classify_off_resonant(system: MultiLambdaSystem) -> AtClassification:
 
 
 def _classify_single_resonant(system: MultiLambdaSystem, n: int) -> AtClassification:
-    value, scale = s_sums(system, excluded=n).bracket(system.alphas[n], system.betas[n])
-    zero = ZeroEigenvalue.SIMPLE if abs(value) <= _ZERO_RTOL * scale else ZeroEigenvalue.NONE
+    simple = s_sums(system, excluded=n).bracket_is_zero(system.alphas[n], system.betas[n])
+    zero = ZeroEigenvalue.SIMPLE if simple else ZeroEigenvalue.NONE
     # A transfer path through the resonant state exists unconditionally;
     # it is dark exactly when the couplings are proportional.
     if system.is_proportional():
@@ -306,7 +290,7 @@ def reduce_degenerate(
             raise PreconditionViolated(f"index {k} out of range")
         if system.detunings[k] != 0.0:
             raise PreconditionViolated(f"state {k} is not resonant")
-    if not system.is_proportional(indices=resonant, rtol=PROPORTIONALITY_RTOL):
+    if not system.is_proportional(indices=resonant):
         raise NotProportional(
             "resonant couplings are not proportional; no reduction exists"
         )

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormDriftExceeded, NumericalError, PreconditionViolated, ToleranceNotMet
+from .errors import (
+    NormDriftExceeded,
+    NumericalError,
+    PreconditionViolated,
+    ToleranceNotMet,
+    ValidationError,
+)
 from .model import (
     MultiLambdaSystem,
     PulsePair,
@@ -112,7 +118,7 @@ class IntegratorConfig:
         t0 = self.t_start if self.t_start is not None else lo
         t1 = self.t_end if self.t_end is not None else hi
         if t0 >= t1:
-            raise ValueError("propagation window is empty")
+            raise ValidationError(f"propagation window [{t0:g}, {t1:g}] is empty")
         return t0, t1
 
 
@@ -242,7 +248,6 @@ def propagate_batch(
     just_rejected = np.zeros(size, dtype=bool)
     n_acc = np.zeros(size, dtype=int)
     n_rej = np.zeros(size, dtype=int)
-    n_rhs = np.ones(size, dtype=int)
     h_lo = np.full(size, np.inf)
     h_hi = np.zeros(size)
     max_mid = (np.abs(y) ** 2)[:, 1:-1].sum(-1)
@@ -263,7 +268,7 @@ def propagate_batch(
         traj = np.array(states[p])
         grid.setflags(write=False)
         traj.setflags(write=False)
-        accepted = int(n_acc[b])
+        accepted, rejected = int(n_acc[b]), int(n_rej[b])
         results[p] = PropagationResult(
             time_grid=grid,
             trajectory=traj,
@@ -271,8 +276,8 @@ def propagate_batch(
             final_norm_error=final_norm_error,
             max_intermediate_pop=float(max_mid[b]),
             n_accepted=accepted,
-            n_rejected=int(n_rej[b]),
-            n_rhs=int(n_rhs[b]),
+            n_rejected=rejected,
+            n_rhs=6 * (accepted + rejected) + 1,  # FSAL: one at the start, six per attempt
             h_min=float(h_lo[b]) if accepted else math.nan,
             h_max=float(h_hi[b]) if accepted else math.nan,
         )
@@ -309,7 +314,6 @@ def propagate_batch(
             err_vec = hc * np.add.reduce(_E[:, None, None] * k, axis=0)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err = np.sqrt(np.add.reduce(np.abs(err_vec / scale) ** 2, axis=-1) / y.shape[1])
-            n_rhs += 6
 
             # PI controller; err == 0 clips to the largest growth factor.
             accepted = err <= 1.0
@@ -383,7 +387,7 @@ def propagate_batch(
             idx, t, h, t1 = (a[keep] for a in (idx, t, h, t1))
             h_floor, max_step = (a[keep] for a in (h_floor, max_step))
             y, k0, err_old, just_rejected = (a[keep] for a in (y, k0, err_old, just_rejected))
-            n_acc, n_rej, n_rhs = (a[keep] for a in (n_acc, n_rej, n_rhs))
+            n_acc, n_rej = n_acc[keep], n_rej[keep]
             h_lo, h_hi, max_mid = (a[keep] for a in (h_lo, h_hi, max_mid))
             omega0, width, delay = (a[keep] for a in (omega0, width, delay))
             d_mat, p_mat, s_mat = (a[keep] for a in (d_mat, p_mat, s_mat))
@@ -396,27 +400,25 @@ def propagate_batch(
     return results  # type: ignore[return-value]
 
 
-def pf_degenerate_prediction(
-    system: MultiLambdaSystem, pulses: PulsePair, window: tuple[float, float] | None = None
-) -> float:
+def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> float:
     """Final-state population when the trapped state is twofold degenerate.
 
-    Valid for proportional couplings whose common detuning sum vanishes: the
-    transfer state then shares its zero eigenvalue with a second state, the
-    population oscillates between the two, and the final transfer reduces to
-    cos^2 of the accumulated mixing angle weighted by the second state's
-    normalization factor.  The integral is evaluated by adaptive quadrature
-    over the propagation window.
+    Valid for proportional couplings whose detuning sums all vanish
+    (:meth:`SSums.all_zero`, the test behind ``classify``'s DOUBLE verdict):
+    the transfer state shares its zero eigenvalue with a second state, the
+    population oscillates between them, and the final transfer is cos^2 of
+    the mixing angle weighted by the second state's normalization factor,
+    integrated by adaptive quadrature over the pulse pair's default window.
     """
     from scipy.integrate import quad  # SciPy's import cost is paid only here
 
     s = s_sums(system)  # raises ZeroDetuningInSum for resonant systems
     if not system.is_proportional():
         raise PreconditionViolated("couplings must be proportional")
-    if not (abs(s.s_a2) <= 1e-9 and abs(s.s_b2) <= 1e-9 and abs(s.s_ab) <= 1e-9):
+    if not s.all_zero():
         raise PreconditionViolated("all detuning sums must vanish")
     q = sum(a * a / (d * d) for a, d in zip(system.alphas, system.detunings))
-    lo, hi = window if window is not None else pulses.default_window()
+    lo, hi = pulses.default_window()
 
     def integrand(t: float) -> float:
         wp, ws = pulses.values(t)

@@ -51,6 +51,9 @@ __all__ = [
 # Relative tolerance for deciding that coupling ratios alpha_k/beta_k agree.
 PROPORTIONALITY_RTOL = 1e-12
 
+# Relative tolerance of SSums' zero tests on detuning-sum expressions.
+_ZERO_RTOL = 1e-9
+
 
 class PulseShape(str, Enum):
     GAUSSIAN = "gaussian"
@@ -164,12 +167,12 @@ class MultiLambdaSystem:
         """
         return tuple(k for k, d in enumerate(self.detunings) if d == 0.0)
 
-    def is_proportional(self, indices=None, rtol: float = PROPORTIONALITY_RTOL) -> bool:
+    def is_proportional(self, indices=None) -> bool:
         """True when alpha_k/beta_k agree (over ``indices`` or all states)."""
         idx = range(self.n_intermediate) if indices is None else tuple(indices)
         ratios = [self.alphas[k] / self.betas[k] for k in idx]
         ref = ratios[0]
-        return all(abs(r - ref) <= rtol * abs(ref) for r in ratios)
+        return all(abs(r - ref) <= PROPORTIONALITY_RTOL * abs(ref) for r in ratios)
 
     def with_common_detuning(self, shift: float) -> "MultiLambdaSystem":
         """Shift every detuning by the same amount (detuning-scan axis)."""
@@ -215,13 +218,15 @@ class StateVector:
 
 @dataclass(frozen=True)
 class SSums:
-    """Weighted detuning sums S_a2, S_b2, S_ab.
+    """Weighted detuning sums S_a2, S_b2, S_ab, and the one zero test on them.
 
     ``s_a2`` sums alpha_k^2/delta_k, ``s_b2`` sums beta_k^2/delta_k and
     ``s_ab`` sums alpha_k*beta_k/delta_k.  When ``excluded_index`` is set the
     term of that intermediate state is omitted (used around a resonant state).
-    The ``*_scale`` fields hold the corresponding sums of term magnitudes;
-    zero tests on the sums are made relative to them.
+    The ``*_scale`` fields hold the corresponding sums of term magnitudes, and
+    ``terms`` the ``(alpha_k, beta_k, delta_k)`` summed over.  Every test that
+    a sum, the residual or the bracket vanishes is made here, relative to the
+    sum of its terms' magnitudes, so no verdict depends on the detuning scale.
     """
 
     s_a2: float
@@ -231,38 +236,55 @@ class SSums:
     s_a2_scale: float = 0.0
     s_b2_scale: float = 0.0
     s_ab_scale: float = 0.0
+    terms: tuple[tuple[float, float, float], ...] = ()
 
-    def a2_is_zero(self, rtol: float = 1e-9) -> bool:
-        return abs(self.s_a2) <= rtol * self.s_a2_scale
+    def a2_is_zero(self) -> bool:
+        return abs(self.s_a2) <= _ZERO_RTOL * self.s_a2_scale
 
-    def b2_is_zero(self, rtol: float = 1e-9) -> bool:
-        return abs(self.s_b2) <= rtol * self.s_b2_scale
+    def b2_is_zero(self) -> bool:
+        return abs(self.s_b2) <= _ZERO_RTOL * self.s_b2_scale
 
-    def ab_is_zero(self, rtol: float = 1e-9) -> bool:
-        return abs(self.s_ab) <= rtol * self.s_ab_scale
+    def ab_is_zero(self) -> bool:
+        return abs(self.s_ab) <= _ZERO_RTOL * self.s_ab_scale
 
-    def residual(self) -> tuple[float, float]:
-        """S_a2*S_b2 - S_ab^2 and the magnitude scale for its zero test.
+    def all_zero(self) -> bool:
+        """All three sums vanish: the zero eigenvalue is twofold degenerate."""
+        return self.a2_is_zero() and self.b2_is_zero() and self.ab_is_zero()
 
-        Off resonance the residual vanishes exactly when H has a zero
-        eigenvalue while both fields are on.
+    def _residual_terms(self) -> tuple[float, float]:
+        """Residual and zero-test scale as sums over pairs k < l (Lagrange's
+        identity): (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l).  The
+        alpha_k^2 beta_k^2/delta_k^2 terms, which cancel exactly in the product
+        of sums, never appear, so a near-resonant delta_k costs no precision.
         """
-        return (
-            self.s_a2 * self.s_b2 - self.s_ab * self.s_ab,
-            self.s_a2_scale * self.s_b2_scale + self.s_ab_scale * self.s_ab_scale,
-        )
+        value = scale = 0.0
+        for k, (ak, bk, dk) in enumerate(self.terms):
+            for al, bl, dl in self.terms[k + 1 :]:
+                minor = ak * bl - al * bk
+                value += minor * minor / (dk * dl)
+                bound = abs(ak * bl) + abs(al * bk)
+                scale += bound * bound / abs(dk * dl)
+        return value, scale
 
-    def bracket(self, a: float, b: float) -> tuple[float, float]:
-        """a^2 S_b2 - 2ab S_ab + b^2 S_a2 and the magnitude scale for its zero test.
+    def residual(self) -> float:
+        """S_a2*S_b2 - S_ab^2; off resonance H has a zero eigenvalue iff it vanishes."""
+        return self._residual_terms()[0]
 
-        With ``a``, ``b`` the couplings of the one resonant state, and the
-        sums taken without it, this is the single-resonance zero-eigenvalue
-        expression.
+    def residual_is_zero(self) -> bool:
+        value, scale = self._residual_terms()
+        return abs(value) <= _ZERO_RTOL * scale
+
+    def bracket(self, a: float, b: float) -> float:
+        """a^2 S_b2 - 2ab S_ab + b^2 S_a2: with ``a``, ``b`` the couplings of the
+        one resonant state and the sums taken without it, the single-resonance
+        zero-eigenvalue expression.
         """
-        return (
-            a * a * self.s_b2 - 2.0 * a * b * self.s_ab + b * b * self.s_a2,
-            a * a * self.s_b2_scale + 2.0 * abs(a * b) * self.s_ab_scale + b * b * self.s_a2_scale,
-        )
+        return a * a * self.s_b2 - 2.0 * a * b * self.s_ab + b * b * self.s_a2
+
+    def bracket_is_zero(self, a: float, b: float) -> bool:
+        cross = 2.0 * abs(a * b) * self.s_ab_scale
+        scale = a * a * self.s_b2_scale + cross + b * b * self.s_a2_scale
+        return abs(self.bracket(a, b)) <= _ZERO_RTOL * scale
 
     def crossing(self) -> bool:
         """The off-resonant transfer rule: S_a2 and S_b2 nonzero with one sign.
@@ -283,6 +305,7 @@ def s_sums(system: MultiLambdaSystem, excluded: int | None = None) -> SSums:
     """
     sa = sb = sab = 0.0
     sa_m = sb_m = sab_m = 0.0
+    terms = []
     for k, (a, b, d) in enumerate(zip(system.alphas, system.betas, system.detunings)):
         if k == excluded:
             continue
@@ -297,7 +320,8 @@ def s_sums(system: MultiLambdaSystem, excluded: int | None = None) -> SSums:
         sa_m += abs(a * a / d)
         sb_m += abs(b * b / d)
         sab_m += abs(a * b / d)
-    return SSums(sa, sb, sab, excluded, sa_m, sb_m, sab_m)
+        terms.append((a, b, d))
+    return SSums(sa, sb, sab, excluded, sa_m, sb_m, sab_m, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -349,7 +373,7 @@ def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray
 
 def det_offres_sum_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
     """det H for no resonant state, via the detuning sums."""
-    residual, _ = s_sums(system).residual()
+    residual = s_sums(system).residual()
     return omega_p**2 * omega_s**2 * detuning_products(system).d_full * residual
 
 
@@ -369,7 +393,7 @@ def det_single_res_sum_form(
     system: MultiLambdaSystem, omega_p: float, omega_s: float, n: int
 ) -> float:
     """det H with state ``n`` resonant, via the excluded detuning sums."""
-    bracket, _ = s_sums(system, excluded=n).bracket(system.alphas[n], system.betas[n])
+    bracket = s_sums(system, excluded=n).bracket(system.alphas[n], system.betas[n])
     return omega_p**2 * omega_s**2 * detuning_products(system).d_excl_one(n) * bracket
 
 

@@ -45,6 +45,10 @@ __all__ = [
 # Continuation is refused when the best overlap drops below this.
 _MIN_OVERLAP = 0.5
 
+# asymptotics_valid bounds omega_weak/omega_strong, and omega_strong times
+# max(alpha_k, beta_k)/|Delta_k|, by this.
+_ASYMPTOTIC_RATIO = 0.1
+
 # Adjacent eigenvalues closer than this fraction of the spectral radius form a
 # cluster whose eigenbasis the solver may pick arbitrarily.
 _CLUSTER_RTOL = 1e-9
@@ -192,25 +196,21 @@ class AsymptoticEigenvalues:
 
 
 def asymptotics_valid(
-    pulses: PulsePair,
-    t: float,
-    side: Side,
-    ratio: float = 0.1,
-    system: MultiLambdaSystem | None = None,
+    pulses: PulsePair, t: float, side: Side, system: MultiLambdaSystem | None = None
 ) -> bool:
     """Whether ``t`` is far enough into the requested tail for the expansions.
 
     Early means the pump is still negligible against the Stokes field
-    (omega_p/omega_s < ratio), late the reverse.  Given ``system``, the
+    (omega_p/omega_s < 0.1), late the reverse.  Given ``system``, the
     dominant envelope omega must also be small against every nonzero
-    detuning: omega * max(alpha_k, beta_k)/|Delta_k| < ratio over the
+    detuning: omega * max(alpha_k, beta_k)/|Delta_k| < 0.1 over the
     non-resonant k, the parameter of the neglected next-order terms.  The
     formulas extrapolate smoothly outside this domain but lose accuracy;
     callers decide.
     """
     wp, ws = pulses.values(t)
     weak, strong = (wp, ws) if side is Side.EARLY else (ws, wp)
-    if not (strong > 0 and weak / strong < ratio):
+    if not (strong > 0 and weak / strong < _ASYMPTOTIC_RATIO):
         return False
     if system is None:
         return True
@@ -222,7 +222,7 @@ def asymptotics_valid(
         ),
         default=0.0,
     )
-    return bool(strong * coupling < ratio)
+    return bool(strong * coupling < _ASYMPTOTIC_RATIO)
 
 
 def asymptotic_eigenvalues_offres(
@@ -236,7 +236,7 @@ def asymptotic_eigenvalues_offres(
     swap.  The denominator sum must not vanish.
     """
     s = s_sums(system)
-    res, _ = s.residual()
+    res = s.residual()
     if side is Side.EARLY:
         if s.b2_is_zero():
             raise DegenerateSums("S_b2 vanishes; early asymptotics undefined")
@@ -263,7 +263,7 @@ def asymptotic_eigenvalues_res(
             f"need detuning {n} exactly zero and all others nonzero, got zeros at {res}"
         )
     an, bn = system.alphas[n], system.betas[n]
-    bracket, _ = s_sums(system, excluded=n).bracket(an, bn)
+    bracket = s_sums(system, excluded=n).bracket(an, bn)
     if side is Side.EARLY:
         return AsymptoticEigenvalues(
             side,

@@ -26,6 +26,11 @@ def pulses(width: float, omega0: float = 1.0) -> PulsePair:
 LINKED = MultiLambdaSystem((1, 2), (1, 0.5), (0.5, 1.5))
 BROKEN = MultiLambdaSystem((1, 2), (1, 0.5), (-0.5, 0.5))
 SCAN_BASE = MultiLambdaSystem((1, 2), (1, 0.5), (0, 1))
+# LINKED with its first detuning moved next to resonance: the sums are about
+# 1e9, and S_a2 S_b2 - S_ab^2 = 1.5e9 is a tiny fraction of the products
+# of order 1e18 that cancel in it.  Yet det H(1, 1) = 2.25 and the smallest
+# |eigenvalue| is 0.42: there is no zero eigenvalue.
+NEAR_RES = MultiLambdaSystem((1, 2), (1, 0.5), (1e-9, 1.5))
 
 # One exactly resonant pathway: proportional couplings give a dark transfer
 # state, non-proportional ones a general transfer state.

@@ -46,6 +46,7 @@ from cases import (
     LZ_XI,
     LZ_ZERO,
     MARGINAL,
+    NEAR_RES,
     PUMP_BLOCKED,
     RES_DARK,
     RES_GENERAL,
@@ -86,6 +87,8 @@ CLASSIFICATION_TABLE = [
      "resonant-subspace-not-proportional"),
     (DEGEN_NONPROP_3, Regime.DEGENERATE_RESONANT, ZeroEigenvalue.STRUCTURAL,
      AtState.NOT_EXISTS, "resonant-subspace-not-proportional"),
+    (NEAR_RES, Regime.OFF_RESONANT, ZeroEigenvalue.NONE, AtState.EXISTS_GENERAL,
+     "detuning-sums-same-sign"),
 ]
 
 
@@ -111,11 +114,10 @@ class TestClassification:
         # all predicates are relative, so scaling every detuning by a common
         # positive factor cannot change any verdict
         rng = np.random.default_rng(13)
-        pool = [LINKED, BROKEN, DARK3, TRANSFER, DOUBLE_ZERO, BLOCKED, MARGINAL]
+        pool = [LINKED, BROKEN, DARK3, TRANSFER, DOUBLE_ZERO, BLOCKED, MARGINAL, NEAR_RES]
         for system in pool:
             base = classify(system)
-            for _ in range(5):
-                c = float(rng.uniform(1e-3, 1e3))
+            for c in [float(rng.uniform(1e-3, 1e3)) for _ in range(5)] + [1e-8, 1e10]:
                 scaled = MultiLambdaSystem(
                     system.alphas,
                     system.betas,
@@ -134,7 +136,7 @@ class TestClassification:
         wp, ws = pul.values(-3.0)
         expectation = [
             (DARK3, 1), (TRANSFER, 1), (DOUBLE_ZERO, 2), (DEGEN_PROP, 2),
-            (DEGEN_NONPROP_3, 1), (LINKED, 0), (BROKEN, 0),
+            (DEGEN_NONPROP_3, 1), (LINKED, 0), (BROKEN, 0), (NEAR_RES, 0),
         ]
         for system, n_zero in expectation:
             h = build_hamiltonian(system, wp, ws)

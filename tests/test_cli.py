@@ -239,6 +239,13 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: config:")
         assert proc.stdout == ""
 
+    def test_empty_window_is_2(self, tmp_path):
+        # the default window of width 10 ends at 45, before t_start
+        (tmp_path / "bad.conf").write_text(SINGLE_RUN + "\n[integrator]\nt_start = 200\n")
+        proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: propagation window [200, 45] is empty")
+
     def test_usage_error_is_2(self, tmp_path):
         proc = run_cli(cwd=tmp_path)
         assert proc.returncode == 2

@@ -6,11 +6,15 @@ from scipy.integrate import solve_ivp
 
 from multilambda import (
     IntegratorConfig,
+    MultiLambdaSystem,
     NormDriftExceeded,
     PreconditionViolated,
     StateVector,
     ToleranceNotMet,
+    ValidationError,
+    ZeroEigenvalue,
     build_hamiltonian,
+    classify,
     pf_degenerate_prediction,
     propagate,
     propagate_batch,
@@ -249,6 +253,13 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(**{field: bad})
 
+    def test_empty_window_is_a_validation_error(self):
+        # the default window of width 30 ends at 135, before t_start
+        with pytest.raises(ValidationError, match=r"\[200, 135\] is empty"):
+            IntegratorConfig(t_start=200.0).window(pulses(30.0))
+        with pytest.raises(ValidationError, match=r"\[-135, -150\] is empty"):
+            propagate(LINKED, pulses(30.0), IntegratorConfig(t_end=-150.0))
+
 
 class TestDegeneratePrediction:
     def test_pinned_value(self):
@@ -273,3 +284,18 @@ class TestDegeneratePrediction:
             pf_degenerate_prediction(DARK3, pul)  # sums do not vanish
         with pytest.raises(PreconditionViolated):
             pf_degenerate_prediction(BLOCKED, pul)  # not proportional
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e10])
+    @pytest.mark.parametrize("system", [DARK3, DOUBLE_ZERO], ids=["dark3", "double_zero"])
+    def test_accepts_exactly_the_double_verdict(self, system, scale):
+        # the precondition and classify's DOUBLE verdict are one zero test,
+        # relative to the detuning scale
+        detunings = tuple(scale * d for d in system.detunings)
+        scaled = MultiLambdaSystem(system.alphas, system.betas, detunings)
+        double = classify(scaled).zero_eigenvalue is ZeroEigenvalue.DOUBLE
+        assert double == (system is DOUBLE_ZERO)
+        if double:
+            assert 0.0 <= pf_degenerate_prediction(scaled, pulses(30.0)) <= 1.0
+        else:
+            with pytest.raises(PreconditionViolated):
+                pf_degenerate_prediction(scaled, pulses(30.0))

@@ -217,6 +217,22 @@ class TestSums:
         with pytest.raises(ZeroDetuningInSum):
             s_sums(RES_DARK)
 
+    def test_residual_and_bracket_values(self):
+        # 14/3 * 13/6 - (8/3)^2 = 3 by hand, and (1*0.5 - 2*1)^2/(0.5*1.5) = 3
+        # as the one pair term
+        s = s_sums(LINKED)
+        assert s.residual() == pytest.approx(3.0, rel=1e-15)
+        assert not s.residual_is_zero()
+        assert s_sums(TRANSFER).residual_is_zero()
+        # one state: no pairs, so the residual is exactly zero (dark state)
+        assert s_sums(MultiLambdaSystem((1,), (1,), (0.7,))).residual() == 0.0
+        dark = s_sums(RES_DARK, excluded=0)
+        assert dark.bracket(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert dark.bracket_is_zero(1.0, 1.0)
+        general = s_sums(RES_GENERAL, excluded=0)
+        assert general.bracket(1.0, 1.0) == pytest.approx(2.25, rel=1e-15)
+        assert not general.bracket_is_zero(1.0, 1.0)
+
 
 class TestDeterminants:
     def test_products(self):
@@ -273,6 +289,26 @@ class TestDeterminants:
         cf = det_closed_form(sys_, wp, ws)
         nd = float(np.linalg.det(build_hamiltonian(sys_, wp, ws)))
         assert cf == pytest.approx(nd, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_closed_form_near_resonance(self, n, seed):
+        # One |Delta_k| = 10^U(-12, -3).  S_a2 S_b2 - S_ab^2 as a product of
+        # sums cancels terms of order 1/Delta_k^2; summed over pairs it has
+        # none, and the closed form keeps full relative precision.
+        rng = np.random.default_rng(seed)
+        al = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
+        be = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
+        de = rng.uniform(0.3, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        de[rng.integers(n)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -3.0)
+        sys_ = MultiLambdaSystem(tuple(al), tuple(be), tuple(de))
+        wp, ws = rng.uniform(0.2, 1.0, 2)
+        cf = det_closed_form(sys_, wp, ws)
+        nd = float(np.linalg.det(build_hamiltonian(sys_, wp, ws)))
+        assert cf == pytest.approx(nd, rel=1e-9)
 
 
 class TestNullVectors:
