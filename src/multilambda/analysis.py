@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
     "at_window_boundaries",
     "no_at_intervals",
     "reduce_degenerate",
-    "EffectiveTwoState",
-    "effective_two_state",
     "adiabatic_eliminate",
     "LzEstimate",
     "lz_estimate",
@@ -321,47 +318,14 @@ def reduce_degenerate(
     return reduced, mu
 
 
-@dataclass(frozen=True)
-class EffectiveTwoState:
-    """Time-dependent parameters of the eliminated two-state problem.
-
-    ``detuning_fn(t)`` is the effective splitting between the dressed
-    initial and final states, ``coupling_fn(t)`` their effective coupling.
-    Both vanish with the envelopes.
-    """
-
-    detuning_fn: Callable[[float], float]
-    coupling_fn: Callable[[float], float]
-
-
-def effective_two_state(system: MultiLambdaSystem, pulses: PulsePair) -> EffectiveTwoState:
-    """Build the eliminated two-state parameter functions.
-
-    Requires a fully off-resonant system; validity additionally assumes the
-    detunings dominate the envelopes, which is advisory and not enforced.
-    """
-    if system.resonant_indices():
-        raise WrongResonanceCount("two-state elimination needs no resonant states")
-    s = s_sums(system)
-
-    def detuning_fn(t: float) -> float:
-        wp, ws = pulses.values(t)
-        return s.s_b2 * ws * ws - s.s_a2 * wp * wp
-
-    def coupling_fn(t: float) -> float:
-        wp, ws = pulses.values(t)
-        return s.s_ab * wp * ws
-
-    return EffectiveTwoState(detuning_fn=detuning_fn, coupling_fn=coupling_fn)
-
-
 def adiabatic_eliminate(
     system: MultiLambdaSystem, pulses: PulsePair, t: float
 ) -> np.ndarray:
     """Effective Hamiltonian after eliminating far-detuned states, at time t.
 
-    With no resonant state the result is the 2x2 matrix over (initial,
-    final); with exactly one resonant state n it is the 3x3 matrix over
+    With no resonant state the result is the 2x2 two-state model over
+    (initial, final), with effective detuning h[1, 1] - h[0, 0] and coupling
+    h[0, 1]; with exactly one resonant state n it is the 3x3 matrix over
     (initial, n, final) keeping the bare couplings to n.  Uses the
     conventional sign in which the dressed diagonal entries are the
     envelope-squared detuning sums.

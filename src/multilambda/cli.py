@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ValidationError
 from .presets import preset_names, preset_text
 from .runner import ScanRow, format_csv, report_text, run_scan
 
@@ -60,9 +60,12 @@ def _write(text: str, path: Path | None, quiet: bool, note: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
     if not quiet:
         print(f"wrote {note}")
 

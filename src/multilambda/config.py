@@ -124,7 +124,7 @@ def _boolean(text: str) -> bool:
 # is not a value of its kind; enum values stay strings for the dataclass.
 _SECTIONS = {
     "system": {"n": _integer, "alphas": _numbers, "betas": _numbers, "detunings": _numbers},
-    "pulses": {"omega0": _number, "width": _number, "delay": _number, "shape": str},
+    "pulses": {"omega0": _number, "width": _number, "delay": _number},
     "integrator": {"rel_tol": _number, "abs_tol": _number, "t_start": _number,
                    "t_end": _number, "max_step": _number, "store_every": _integer},
     "scan": {"axis": str, "start": _number, "stop": _number, "points": _integer,

@@ -149,9 +149,6 @@ class PropagationResult:
     def populations(self) -> np.ndarray:
         return np.abs(self.trajectory) ** 2
 
-    def state(self, k: int) -> StateVector:
-        return StateVector(self.trajectory[k])
-
 
 # Stage times (as fractions of h) of the six stages evaluated per step.
 _C_STEP = np.array(_C[1:])

@@ -20,29 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import BothEnvelopesZero, ZeroDetuningInSum
 
 __all__ = [
-    "PulseShape",
     "PulsePair",
     "MultiLambdaSystem",
     "StateVector",
     "SSums",
-    "DetuningProducts",
     "build_hamiltonian",
     "gaussian_envelopes",
     "s_sums",
-    "detuning_products",
     "det_closed_form",
     "det_offres_sum_form",
-    "det_offres_pair_form",
     "det_single_res_sum_form",
-    "det_single_res_pair_form",
-    "det_double_res",
+    "det_pair_form",
     "dark_state",
     "zero_eigvec_amplitudes",
     "PROPORTIONALITY_RTOL",
@@ -53,10 +47,6 @@ PROPORTIONALITY_RTOL = 1e-12
 
 # Relative tolerance of SSums' zero tests on detuning-sum expressions.
 _ZERO_RTOL = 1e-9
-
-
-class PulseShape(str, Enum):
-    GAUSSIAN = "gaussian"
 
 
 def gaussian_envelopes(t, omega0, width, delay):
@@ -82,7 +72,6 @@ class PulsePair:
     omega0: float
     width: float
     delay: float
-    shape: PulseShape = PulseShape.GAUSSIAN
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.omega0, self.width, self.delay))):
@@ -94,8 +83,6 @@ class PulsePair:
             raise ValueError("pulse width must be positive")
         if self.delay <= 0:
             raise ValueError("pulse delay must be positive")
-        if not isinstance(self.shape, PulseShape):
-            object.__setattr__(self, "shape", PulseShape(self.shape))
 
     def values(self, t):
         """Return ``(omega_p, omega_s)`` at time ``t`` (scalar or array)."""
@@ -149,6 +136,8 @@ class MultiLambdaSystem:
             raise ValueError("coupling weights must be positive")
         if self.enforce_normalization and (alphas[0] != 1.0 or betas[0] != 1.0):
             raise ValueError("first coupling pair must be normalized to 1")
+        if not SSums.over([t for t in zip(alphas, betas, detunings) if t[2] != 0.0]).is_finite():
+            raise ValueError("detuning sums over the nonzero detunings must be finite")
 
     @property
     def n_intermediate(self) -> int:
@@ -238,6 +227,28 @@ class SSums:
     s_ab_scale: float = 0.0
     terms: tuple[tuple[float, float, float], ...] = ()
 
+    @classmethod
+    def over(cls, terms, excluded: int | None = None) -> "SSums":
+        """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero."""
+        sa = sb = sab = 0.0
+        sa_m = sb_m = sab_m = 0.0
+        for a, b, d in terms:
+            sa += a * a / d
+            sb += b * b / d
+            sab += a * b / d
+            sa_m += abs(a * a / d)
+            sb_m += abs(b * b / d)
+            sab_m += abs(a * b / d)
+        return cls(sa, sb, sab, excluded, sa_m, sb_m, sab_m, tuple(terms))
+
+    def is_finite(self) -> bool:
+        """Every term magnitude sum, the pair residual's included, is a finite float."""
+        try:  # delta_k * delta_l may underflow to zero
+            scales = (self.s_a2_scale, self.s_b2_scale, self.s_ab_scale, self._residual_terms()[1])
+        except ZeroDivisionError:
+            return False
+        return all(map(math.isfinite, scales))
+
     def a2_is_zero(self) -> bool:
         return abs(self.s_a2) <= _ZERO_RTOL * self.s_a2_scale
 
@@ -303,48 +314,14 @@ def s_sums(system: MultiLambdaSystem, excluded: int | None = None) -> SSums:
     Raises ZeroDetuningInSum when a contributing detuning is exactly zero;
     resonant states must be excluded explicitly.
     """
-    sa = sb = sab = 0.0
-    sa_m = sb_m = sab_m = 0.0
-    terms = []
-    for k, (a, b, d) in enumerate(zip(system.alphas, system.betas, system.detunings)):
-        if k == excluded:
-            continue
-        if d == 0.0:
+    for k, d in enumerate(system.detunings):
+        if d == 0.0 and k != excluded:
             raise ZeroDetuningInSum(
                 f"detuning of intermediate state {k} is exactly zero; "
                 "exclude it or use the resonant formulas"
             )
-        sa += a * a / d
-        sb += b * b / d
-        sab += a * b / d
-        sa_m += abs(a * a / d)
-        sb_m += abs(b * b / d)
-        sab_m += abs(a * b / d)
-        terms.append((a, b, d))
-    return SSums(sa, sb, sab, excluded, sa_m, sb_m, sab_m, tuple(terms))
-
-
-@dataclass(frozen=True)
-class DetuningProducts:
-    """Products of detunings with zero, one or two factors left out."""
-
-    detunings: tuple[float, ...]
-
-    @property
-    def d_full(self) -> float:
-        return math.prod(self.detunings)
-
-    def d_excl_one(self, n: int) -> float:
-        return math.prod(d for k, d in enumerate(self.detunings) if k != n)
-
-    def d_excl_two(self, m: int, n: int) -> float:
-        if m == n:
-            raise ValueError("the two excluded indices must differ")
-        return math.prod(d for k, d in enumerate(self.detunings) if k != m and k != n)
-
-
-def detuning_products(system: MultiLambdaSystem) -> DetuningProducts:
-    return DetuningProducts(system.detunings)
+    terms = zip(system.alphas, system.betas, system.detunings)
+    return SSums.over([t for k, t in enumerate(terms) if k != excluded], excluded)
 
 
 def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray:
@@ -374,19 +351,7 @@ def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray
 def det_offres_sum_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
     """det H for no resonant state, via the detuning sums."""
     residual = s_sums(system).residual()
-    return omega_p**2 * omega_s**2 * detuning_products(system).d_full * residual
-
-
-def det_offres_pair_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
-    """det H for no resonant state, via the pairwise coupling minors."""
-    prods = detuning_products(system)
-    al, be = system.alphas, system.betas
-    n = system.n_intermediate
-    total = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            total += prods.d_excl_two(k, l) * (al[k] * be[l] - al[l] * be[k]) ** 2
-    return omega_p**2 * omega_s**2 * total
+    return omega_p**2 * omega_s**2 * math.prod(system.detunings) * residual
 
 
 def det_single_res_sum_form(
@@ -394,46 +359,44 @@ def det_single_res_sum_form(
 ) -> float:
     """det H with state ``n`` resonant, via the excluded detuning sums."""
     bracket = s_sums(system, excluded=n).bracket(system.alphas[n], system.betas[n])
-    return omega_p**2 * omega_s**2 * detuning_products(system).d_excl_one(n) * bracket
+    d_rest = math.prod(d for k, d in enumerate(system.detunings) if k != n)
+    return omega_p**2 * omega_s**2 * d_rest * bracket
 
 
-def det_single_res_pair_form(
-    system: MultiLambdaSystem, omega_p: float, omega_s: float, n: int
-) -> float:
-    """det H with state ``n`` resonant, via pairwise minors against state n."""
-    prods = detuning_products(system)
-    al, be = system.alphas, system.betas
+def det_pair_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
+    """det H via the pairwise coupling minors, for any number of resonances.
+
+    det H = omega_p^2 omega_s^2 sum_{k<l} (alpha_k beta_l - alpha_l beta_k)^2
+    prod_{j != k, l} Delta_j.  A resonance Delta_n = 0 removes every pair
+    without n: one resonance n leaves the pairs (k, n), two resonances m, n
+    leave the single pair (m, n), and three or more leave nothing, so det H
+    vanishes identically.
+    """
+    al, be, de = system.alphas, system.betas, system.detunings
+    n = system.n_intermediate
     total = 0.0
-    for k in range(system.n_intermediate):
-        if k == n:
-            continue
-        total += prods.d_excl_two(n, k) * (al[k] * be[n] - al[n] * be[k]) ** 2
+    for k in range(n):
+        for l in range(k + 1, n):
+            d_rest = [d for j, d in enumerate(de) if j != k and j != l]
+            if 0.0 in d_rest:
+                continue
+            total += math.prod(d_rest) * (al[k] * be[l] - al[l] * be[k]) ** 2
     return omega_p**2 * omega_s**2 * total
-
-
-def det_double_res(
-    system: MultiLambdaSystem, omega_p: float, omega_s: float, m: int, n: int
-) -> float:
-    """det H with exactly states ``m`` and ``n`` resonant."""
-    al, be = system.alphas, system.betas
-    dmn = detuning_products(system).d_excl_two(m, n)
-    return omega_p**2 * omega_s**2 * dmn * (al[m] * be[n] - al[n] * be[m]) ** 2
 
 
 def det_closed_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
     """Closed form of det H, dispatching on the number of exact resonances.
 
-    Three or more resonant intermediate states force the determinant to
-    vanish identically, so 0.0 is returned without further arithmetic.
+    No resonance and one resonance use the detuning-sum forms; two or more
+    use the pair form, which keeps only the pair of the two resonant states
+    and is identically zero from three on.
     """
     res = system.resonant_indices()
     if len(res) == 0:
         return det_offres_sum_form(system, omega_p, omega_s)
     if len(res) == 1:
         return det_single_res_sum_form(system, omega_p, omega_s, res[0])
-    if len(res) == 2:
-        return det_double_res(system, omega_p, omega_s, res[0], res[1])
-    return 0.0
+    return det_pair_form(system, omega_p, omega_s)
 
 
 def dark_state(system: MultiLambdaSystem, pulses: PulsePair, t: float) -> StateVector:

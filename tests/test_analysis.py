@@ -19,7 +19,6 @@ from multilambda import (
     at_window_boundaries,
     build_hamiltonian,
     classify,
-    effective_two_state,
     eigendecompose,
     lz_estimate,
     no_at_intervals,
@@ -299,6 +298,36 @@ class TestReduction:
         red = propagate(reduced, pul)
         assert full.final_pf == pytest.approx(red.final_pf, abs=1e-9)
 
+    def test_reduction_preserves_dynamics_random_clusters(self):
+        # 2-3 resonant states with proportional couplings, 0-2 off-resonant
+        # spectators, in random order; full and reduced systems are grouped by
+        # dimension, one batched propagation each
+        rng = np.random.default_rng(11)
+        pul = pulses(20.0)
+        pairs = []
+        for _ in range(12):
+            n_res, n_off = int(rng.integers(2, 4)), int(rng.integers(0, 3))
+            weights = rng.uniform(0.3, 1.5, n_res)
+            al = np.concatenate([rng.uniform(0.5, 2.0) * weights, rng.uniform(0.1, 2.0, n_off)])
+            be = np.concatenate([weights, rng.uniform(0.1, 2.0, n_off)])
+            de = np.concatenate([np.zeros(n_res), rng.uniform(0.5, 3.0, n_off)])
+            de[n_res:] *= rng.choice([-1.0, 1.0], n_off)
+            order = rng.permutation(n_res + n_off)
+            full = MultiLambdaSystem(
+                tuple(al[order]), tuple(be[order]), tuple(de[order]), enforce_normalization=False
+            )
+            pairs.append((full, reduce_degenerate(full)[0]))
+        by_dimension: dict[int, list[MultiLambdaSystem]] = {}
+        for system in [s for pair in pairs for s in pair]:
+            by_dimension.setdefault(system.dimension, []).append(system)
+        pf = {}
+        for systems in by_dimension.values():
+            results = propagate_batch([(system, pul) for system in systems])
+            pf.update((system, result.final_pf) for system, result in zip(systems, results))
+        for full, reduced in pairs:
+            assert reduced.n_intermediate < full.n_intermediate
+            assert pf[reduced] == pytest.approx(pf[full], abs=1e-9), full
+
     def test_single_resonance_passthrough(self):
         reduced, mu = reduce_degenerate(RES_DARK, (0,))
         assert mu == 1.0
@@ -322,20 +351,17 @@ class TestReduction:
 class TestEffectiveModels:
     def test_two_state_functions(self):
         pul = pulses(30.0)
-        eff = effective_two_state(LINKED, pul)
         s = s_sums(LINKED)
         for t in (-20.0, 0.0, 10.0):
             wp, ws = pul.values(t)
-            assert eff.detuning_fn(t) == pytest.approx(s.s_b2 * ws**2 - s.s_a2 * wp**2)
-            assert eff.coupling_fn(t) == pytest.approx(s.s_ab * wp * ws)
+            h = adiabatic_eliminate(LINKED, pul, t)
+            assert h[1, 1] - h[0, 0] == pytest.approx(s.s_b2 * ws**2 - s.s_a2 * wp**2)
+            assert h[0, 1] == pytest.approx(s.s_ab * wp * ws)
         # both vanish with the envelopes
         far = 3 * pul.default_window()[1]
-        assert abs(eff.detuning_fn(far)) < 1e-100
-        assert abs(eff.coupling_fn(far)) < 1e-100
-
-    def test_two_state_requires_off_resonance(self):
-        with pytest.raises(WrongResonanceCount):
-            effective_two_state(RES_DARK, pulses(30.0))
+        h = adiabatic_eliminate(LINKED, pul, far)
+        assert abs(h[1, 1] - h[0, 0]) < 1e-100
+        assert abs(h[0, 1]) < 1e-100
 
     def test_eliminated_2x2(self):
         pul = pulses(30.0)

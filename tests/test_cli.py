@@ -246,6 +246,26 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: config: propagation window [200, 45] is empty")
 
+    def test_overflowing_detuning_sums_are_2(self, tmp_path):
+        # delta_1 delta_2 underflows to zero: once a ZeroDivisionError, exit 1
+        (tmp_path / "bad.conf").write_text(
+            SINGLE_RUN.replace("detunings = 0.5, 1.5", "detunings = 1e-200, 2e-200")
+        )
+        proc = run_cli("analyze", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config:")
+
+    def test_unwritable_output_is_2(self, tmp_path):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "run.conf").write_text(SINGLE_RUN + "\n[output]\ncsv = adir\n")
+        proc = run_cli("simulate", "run.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: cannot write ")
+        proc = run_cli("preset", "n3_dark_time", "--out", "afile", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: cannot write ")
+
     def test_usage_error_is_2(self, tmp_path):
         proc = run_cli(cwd=tmp_path)
         assert proc.returncode == 2

@@ -30,7 +30,6 @@ detunings = 0.5, 1.5
 omega0 = 1
 width = 30
 delay = 15
-shape = gaussian
 
 [integrator]
 rel_tol = 1e-9
@@ -73,7 +72,6 @@ class TestParsing:
         )
         assert cfg.pulses.omega0 == 1.0
         assert cfg.pulses.delay == 20.0  # locked to half the width
-        assert cfg.pulses.shape.value == "gaussian"
         assert cfg.scan is None
         assert cfg.output.csv_path is None
         assert cfg.integrator.rel_tol == 1e-10
@@ -158,8 +156,6 @@ class TestValidationErrors:
             parse_config(self._conf(pulses="width = -5"))
         with pytest.raises(ValidationError):
             parse_config(self._conf(pulses="width = 30\nomega0 = 0"))
-        with pytest.raises(ValidationError):
-            parse_config(self._conf(pulses="width = 30\nshape = square"))
 
     def test_scan_validation(self):
         with pytest.raises(ValidationError):

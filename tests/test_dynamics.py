@@ -76,7 +76,7 @@ class TestPropagation:
         assert pops.shape == (res.time_grid.size, 4)
         assert res.final_pf == pytest.approx(pops[-1, -1])
         assert np.allclose(pops.sum(axis=1), 1.0, atol=1e-6)
-        assert res.state(0).amplitudes[0] == pytest.approx(1.0)
+        assert res.trajectory[0, 0] == pytest.approx(1.0)
 
     def test_store_every_controls_grid_density(self):
         pul = pulses(30.0)
