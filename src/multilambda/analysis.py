@@ -179,43 +179,18 @@ def classify(system: MultiLambdaSystem) -> AtClassification:
     return _classify_degenerate(system, resonant)
 
 
-def _sum_roots(weights: tuple[float, ...], bases: tuple[float, ...]) -> list[float]:
-    """All zeros of f(x) = sum w_k/(b_k + x).
+def _sum_roots(weights: np.ndarray, bases: tuple[float, ...]) -> np.ndarray:
+    """All zeros of f(x) = sum w_k/(b_k + x), one in each gap between poles.
 
-    f has a pole at -b_k for each distinct base and is strictly decreasing
-    between consecutive poles (every term falls), so each inter-pole gap
-    holds exactly one root and the outer intervals hold none.
+    With equal bases merged, f(x) = sum_j z_j^2/(x - p_j) over the distinct
+    poles p_j = -b_j.  Its zeros are the eigenvalues of diag(p) compressed to
+    the complement of z (Golub, SIAM Rev. 15, 318 (1973)), which interlace
+    the poles strictly since every z_j > 0.
     """
-    pole_weight: dict[float, float] = {}
-    for w, b in zip(weights, bases):
-        pole_weight[-b] = pole_weight.get(-b, 0.0) + w
-    poles = sorted(pole_weight)
-
-    def f(x: float) -> float:
-        return sum(w / (b + x) for w, b in zip(weights, bases))
-
-    roots: list[float] = []
-    for lo_pole, hi_pole in zip(poles, poles[1:]):
-        gap = hi_pole - lo_pole
-        lo = lo_pole + 1e-12 * gap
-        hi = hi_pole - 1e-12 * gap
-        flo, fhi = f(lo), f(hi)
-        if not (flo > 0 > fhi):
-            continue  # offsets swallowed the bracket; gap below resolution
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if fm > 0:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return roots
+    poles, inverse = np.unique(-np.asarray(bases), return_inverse=True)
+    z = np.sqrt(np.bincount(inverse, weights=weights))
+    q = np.linalg.svd(z[None, :])[2][1:]
+    return np.linalg.eigvalsh((q * poles) @ q.T)
 
 
 def at_window_boundaries(
@@ -230,15 +205,11 @@ def at_window_boundaries(
     """
     if lo >= hi:
         raise ValueError("empty detuning range")
-    al2 = tuple(a * a for a in system.alphas)
-    be2 = tuple(b * b for b in system.betas)
-    roots = _sum_roots(al2, system.detunings) + _sum_roots(be2, system.detunings)
-    out = sorted(r for r in roots if lo <= r <= hi)
-    deduped: list[float] = []
-    for r in out:
-        if not deduped or r != deduped[-1]:
-            deduped.append(r)
-    return deduped
+    roots = np.concatenate([
+        _sum_roots(np.square(system.alphas), system.detunings),
+        _sum_roots(np.square(system.betas), system.detunings),
+    ])
+    return np.unique(roots[(lo <= roots) & (roots <= hi)]).tolist()
 
 
 def no_at_intervals(

@@ -60,6 +60,8 @@ class ScanSpec:
         object.__setattr__(self, "axis", ScanAxis(self.axis))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("scan endpoints must be finite")
+        if self.start == self.stop:
+            raise ValueError("scan endpoints must differ")
         if self.points < 2:
             raise ValueError("scan needs points >= 2")
         if self.log_scale and (self.start <= 0 or self.stop <= 0):

@@ -34,9 +34,6 @@ __all__ = [
     "gaussian_envelopes",
     "s_sums",
     "det_closed_form",
-    "det_offres_sum_form",
-    "det_single_res_sum_form",
-    "det_pair_form",
     "dark_state",
     "zero_eigvec_amplitudes",
     "PROPORTIONALITY_RTOL",
@@ -210,25 +207,23 @@ class SSums:
     """Weighted detuning sums S_a2, S_b2, S_ab, and the one zero test on them.
 
     ``s_a2`` sums alpha_k^2/delta_k, ``s_b2`` sums beta_k^2/delta_k and
-    ``s_ab`` sums alpha_k*beta_k/delta_k.  When ``excluded_index`` is set the
-    term of that intermediate state is omitted (used around a resonant state).
-    The ``*_scale`` fields hold the corresponding sums of term magnitudes, and
-    ``terms`` the ``(alpha_k, beta_k, delta_k)`` summed over.  Every test that
-    a sum, the residual or the bracket vanishes is made here, relative to the
-    sum of its terms' magnitudes, so no verdict depends on the detuning scale.
+    ``s_ab`` sums alpha_k*beta_k/delta_k.  The ``*_scale`` fields hold the
+    corresponding sums of term magnitudes, and ``terms`` the
+    ``(alpha_k, beta_k, delta_k)`` summed over.  Every test that a sum, the
+    residual or the bracket vanishes is made here, relative to the sum of its
+    terms' magnitudes, so no verdict depends on the detuning scale.
     """
 
     s_a2: float
     s_b2: float
     s_ab: float
-    excluded_index: int | None = None
     s_a2_scale: float = 0.0
     s_b2_scale: float = 0.0
     s_ab_scale: float = 0.0
     terms: tuple[tuple[float, float, float], ...] = ()
 
     @classmethod
-    def over(cls, terms, excluded: int | None = None) -> "SSums":
+    def over(cls, terms) -> "SSums":
         """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero."""
         sa = sb = sab = 0.0
         sa_m = sb_m = sab_m = 0.0
@@ -239,7 +234,7 @@ class SSums:
             sa_m += abs(a * a / d)
             sb_m += abs(b * b / d)
             sab_m += abs(a * b / d)
-        return cls(sa, sb, sab, excluded, sa_m, sb_m, sab_m, tuple(terms))
+        return cls(sa, sb, sab, sa_m, sb_m, sab_m, tuple(terms))
 
     def is_finite(self) -> bool:
         """Every term magnitude sum, the pair residual's included, is a finite float."""
@@ -321,7 +316,7 @@ def s_sums(system: MultiLambdaSystem, excluded: int | None = None) -> SSums:
                 "exclude it or use the resonant formulas"
             )
     terms = zip(system.alphas, system.betas, system.detunings)
-    return SSums.over([t for k, t in enumerate(terms) if k != excluded], excluded)
+    return SSums.over([t for k, t in enumerate(terms) if k != excluded])
 
 
 def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray:
@@ -348,29 +343,16 @@ def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray
     return h
 
 
-def det_offres_sum_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
-    """det H for no resonant state, via the detuning sums."""
-    residual = s_sums(system).residual()
-    return omega_p**2 * omega_s**2 * math.prod(system.detunings) * residual
-
-
-def det_single_res_sum_form(
-    system: MultiLambdaSystem, omega_p: float, omega_s: float, n: int
-) -> float:
-    """det H with state ``n`` resonant, via the excluded detuning sums."""
-    bracket = s_sums(system, excluded=n).bracket(system.alphas[n], system.betas[n])
-    d_rest = math.prod(d for k, d in enumerate(system.detunings) if k != n)
-    return omega_p**2 * omega_s**2 * d_rest * bracket
-
-
-def det_pair_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
+def det_closed_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
     """det H via the pairwise coupling minors, for any number of resonances.
 
     det H = omega_p^2 omega_s^2 sum_{k<l} (alpha_k beta_l - alpha_l beta_k)^2
-    prod_{j != k, l} Delta_j.  A resonance Delta_n = 0 removes every pair
-    without n: one resonance n leaves the pairs (k, n), two resonances m, n
-    leave the single pair (m, n), and three or more leave nothing, so det H
-    vanishes identically.
+    prod_{j != k, l} Delta_j.  Off resonance this is omega_p^2 omega_s^2
+    prod_k Delta_k (S_a2 S_b2 - S_ab^2) with each 1/(Delta_k Delta_l)
+    multiplied out, so no factor overflows before another scales it down.
+    A resonance Delta_n = 0 removes every pair without n: one resonance n
+    leaves the pairs (k, n), two resonances m, n leave the single pair
+    (m, n), and three or more leave nothing, so det H vanishes identically.
     """
     al, be, de = system.alphas, system.betas, system.detunings
     n = system.n_intermediate
@@ -382,21 +364,6 @@ def det_pair_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> 
                 continue
             total += math.prod(d_rest) * (al[k] * be[l] - al[l] * be[k]) ** 2
     return omega_p**2 * omega_s**2 * total
-
-
-def det_closed_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -> float:
-    """Closed form of det H, dispatching on the number of exact resonances.
-
-    No resonance and one resonance use the detuning-sum forms; two or more
-    use the pair form, which keeps only the pair of the two resonant states
-    and is identically zero from three on.
-    """
-    res = system.resonant_indices()
-    if len(res) == 0:
-        return det_offres_sum_form(system, omega_p, omega_s)
-    if len(res) == 1:
-        return det_single_res_sum_form(system, omega_p, omega_s, res[0])
-    return det_pair_form(system, omega_p, omega_s)
 
 
 def dark_state(system: MultiLambdaSystem, pulses: PulsePair, t: float) -> StateVector:

@@ -255,6 +255,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: config:")
 
+    def test_near_equal_detunings_analyze(self, tmp_path):
+        # a bisection bracket once rounded onto the pole -1: ZeroDivisionError, exit 1
+        (tmp_path / "run.conf").write_text(
+            "[system]\nalphas = 1, 1\nbetas = 1, 2\ndetunings = 1.0, 1.00001\n"
+            "\n[pulses]\nwidth = 10\n"
+            "\n[scan]\naxis = common_detuning\nstart = -4\nstop = 4\npoints = 3\n"
+        )
+        proc = run_cli("analyze", "run.conf", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert "no-transfer windows in [-4, 4]: [-1.00001, -1]\n" in proc.stdout
+
+    def test_equal_scan_endpoints_are_2(self, tmp_path):
+        # analyze once raised a bare ValueError (exit 1); scan wrote equal rows
+        (tmp_path / "bad.conf").write_text(
+            SINGLE_RUN + "\n[scan]\naxis = common_detuning\nstart = 1\nstop = 1\npoints = 3\n"
+        )
+        for command in ("analyze", "scan", "simulate"):
+            proc = run_cli(command, "bad.conf", cwd=tmp_path)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: config:")
+
     def test_unwritable_output_is_2(self, tmp_path):
         (tmp_path / "adir").mkdir()
         (tmp_path / "afile").write_text("")

@@ -13,6 +13,7 @@ from multilambda import (
     ValidationError,
     load_config,
     parse_config,
+    report_text,
 )
 from multilambda.presets import preset_names, preset_text
 
@@ -208,6 +209,8 @@ class TestScanSpec:
             ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=5, log_scale=True)
         with pytest.raises(ValueError, match="widths"):
             ScanSpec(ScanAxis.PULSE_WIDTH, start=0.0, stop=10.0, points=5)
+        with pytest.raises(ValueError, match="differ"):
+            ScanSpec(ScanAxis.COMMON_DETUNING, start=1.0, stop=1.0, points=3)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_refused(self, bad):
@@ -246,6 +249,16 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
             preset_text("does_not_exist")
+
+    def test_reports_match_pinned(self):
+        # preset_reports.txt holds report_text of every preset, each under a
+        # "== name ==" header; regenerate it only for an intended change.
+        pinned = (Path(__file__).parent / "preset_reports.txt").read_text()
+        reports = "".join(
+            f"== {name} ==\n" + report_text(parse_config(preset_text(name)))
+            for name in preset_names()
+        )
+        assert reports == pinned
 
 
 class TestMalformedPresets:

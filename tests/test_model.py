@@ -16,9 +16,6 @@ from multilambda import (
     build_hamiltonian,
     dark_state,
     det_closed_form,
-    det_offres_sum_form,
-    det_pair_form,
-    det_single_res_sum_form,
     s_sums,
     zero_eigvec_amplitudes,
 )
@@ -210,7 +207,6 @@ class TestSums:
 
     def test_exclusion(self):
         s = s_sums(RES_DARK, excluded=0)
-        assert s.excluded_index == 0
         assert s.s_a2 == pytest.approx(0.25)
         assert s.s_b2 == pytest.approx(0.25)
 
@@ -237,27 +233,37 @@ class TestSums:
 
 class TestDeterminants:
     def test_dual_routes_agree_offres(self):
+        # the paper's sum form: omega_p^2 omega_s^2 prod Delta (S_a2 S_b2 - S_ab^2)
         for sys_ in (LINKED, BROKEN, DARK3, TRANSFER):
-            a = det_offres_sum_form(sys_, 0.7, 0.4)
-            b = det_pair_form(sys_, 0.7, 0.4)
+            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings) * s_sums(sys_).residual()
+            b = det_closed_form(sys_, 0.7, 0.4)
             nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
             assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
             assert a == pytest.approx(nd, rel=1e-9, abs=1e-12)
 
     def test_dual_routes_agree_single_res(self):
+        # the paper's sum form with state 0 resonant: the bracket over the rest
         for sys_ in (RES_DARK, RES_GENERAL):
-            a = det_single_res_sum_form(sys_, 0.7, 0.4, 0)
-            b = det_pair_form(sys_, 0.7, 0.4)
+            bracket = s_sums(sys_, excluded=0).bracket(sys_.alphas[0], sys_.betas[0])
+            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings[1:]) * bracket
+            b = det_closed_form(sys_, 0.7, 0.4)
             nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
             assert a == pytest.approx(b, rel=1e-12)
             assert a == pytest.approx(nd, rel=1e-9)
 
     def test_double_res(self):
         sys_ = MultiLambdaSystem((1, 0.5, 2), (1, 0.7, 1), (0.0, 0.0, 1.5))
-        cf = det_pair_form(sys_, 0.7, 0.4)
+        cf = det_closed_form(sys_, 0.7, 0.4)
         nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
         assert cf == pytest.approx(nd, rel=1e-9)
-        assert det_closed_form(sys_, 0.7, 0.4) == cf
+
+    def test_huge_detunings_do_not_overflow(self):
+        # prod Delta times the sum-form residual once overflowed to inf here
+        for de in ((1e110, 2e110, 3e110), (1e160, 1e160, 0.0)):
+            sys_ = MultiLambdaSystem((1, 0.5, 2), (1, 0.7, 1), de)
+            cf = det_closed_form(sys_, 0.7, 0.4)
+            nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
+            assert cf == pytest.approx(nd, rel=1e-9)
 
     def test_three_resonances_vanish_identically(self):
         sys_ = MultiLambdaSystem((1, 0.5, 0.7), (1, 0.3, 0.9), (0.0, 0.0, 0.0))

@@ -27,13 +27,14 @@ EARLIER_NAMES = {
     "PreconditionViolated", "WrongResonanceCount",
 }
 
-# Deleted because each restated another route: the pair-form determinants
-# and the detuning products (``det_pair_form``), the effective two-state
-# model (``adiabatic_eliminate``) and the one-member pulse-shape enum.
+# Deleted because each restated another route: the sum-form and pair-form
+# determinants and the detuning products (``det_closed_form``), the effective
+# two-state model (``adiabatic_eliminate``) and the one-member pulse-shape enum.
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
-    "effective_two_state", "PulseShape",
+    "effective_two_state", "PulseShape", "det_offres_sum_form",
+    "det_single_res_sum_form", "det_pair_form",
 }
 
 
