@@ -12,10 +12,26 @@ refused rather than guessed.  Inside a cluster of equal eigenvalues (equal
 degenerate detunings give one at every time) the solver's basis is arbitrary,
 so before matching each cluster's columns are rotated onto the previous
 snapshot's basis by an orthogonal Procrustes step.
+
+Most steps need no greedy matching.  The overlap matrix of two orthonormal
+bases is orthogonal, so each of its rows and columns holds at most one entry
+with |overlap| above 1/sqrt(2).  Where every column has such an entry, the
+greedy match is the per-column argmax and the 0.5 refusal cannot fire; with
+the bound at 0.75, rounding cannot move the argmax or its sign either.  So
+the diagonals of all consecutive overlaps are formed in one pass, and a run
+of steps between unclustered snapshots whose every diagonal entry is above
+0.75 keeps its labels and takes its column signs from one cumulative
+product.  Every other step, namely those touching a clustered snapshot, those
+whose labels permute and those below the bound, is matched one at a time
+against the aligned previous basis: by the per-column argmax when every
+column is above the bound, by ``_greedy_match`` otherwise.  Either way the
+labels, eigenvectors and refusals are bit for bit those of greedy matching
+on every step.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +44,8 @@ from .errors import (
     NotSingleResonance,
 )
 from .model import MultiLambdaSystem, PulsePair, build_hamiltonian, s_sums
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "eigendecompose",
@@ -44,6 +62,12 @@ __all__ = [
 
 # Continuation is refused when the best overlap drops below this.
 _MIN_OVERLAP = 0.5
+
+# Above this |overlap| (a margin over 1/sqrt(2) for rounding) an entry is the
+# only one of its row and column that large, so a step whose every column
+# has one is matched by a per-column argmax, exactly as the greedy matcher
+# would match it.
+_SURE_OVERLAP = 0.75
 
 # asymptotics_valid bounds omega_weak/omega_strong, and omega_strong times
 # max(alpha_k, beta_k)/|Delta_k|, by this.
@@ -93,17 +117,19 @@ def _fix_initial_signs(v: np.ndarray) -> None:
             v[:, j] = -v[:, j]
 
 
-def _greedy_match(prev_v: np.ndarray, cur_v: np.ndarray, t: float) -> np.ndarray:
-    """Pair previous columns with current ones by descending |overlap|.
+def _greedy_match(overlap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair previous columns (rows of ``overlap``) with current ones (its
+    columns) by descending |overlap|.
 
-    Returns ``match[j] = i`` meaning current column j continues previous
-    column i.  Flips current column signs so every matched overlap is
-    positive.  Raises AmbiguousTracking when a pair has |overlap| < 0.5.
+    Returns ``(match, sign)``: current column j continues previous column
+    ``match[j]``, and multiplying it by ``sign[j]`` (+1 or -1) makes the
+    matched overlap positive.  Raises AmbiguousTracking when a pair has
+    |overlap| < 0.5.
     """
-    n = prev_v.shape[1]
-    overlap = prev_v.T @ cur_v
+    n = overlap.shape[1]
     score = np.abs(overlap)
     match = np.full(n, -1)
+    sign = np.ones(n)
     for _ in range(n):
         i, j = np.unravel_index(int(np.argmax(score)), score.shape)
         best = score[i, j]
@@ -113,22 +139,49 @@ def _greedy_match(prev_v: np.ndarray, cur_v: np.ndarray, t: float) -> np.ndarray
                 "refine the time grid"
             )
         if overlap[i, j] < 0:
-            cur_v[:, j] = -cur_v[:, j]
+            sign[j] = -1.0
         match[j] = i
         score[i, :] = -1.0
         score[:, j] = -1.0
-    return match
+    return match, sign
 
 
-def _align_clusters(prev_v: np.ndarray, cur_v: np.ndarray, close: np.ndarray) -> None:
-    """Rotate each cluster of equal eigenvalues in ``cur_v`` onto ``prev_v``.
+def _match(overlap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_greedy_match``, by one argmax when every column's best |overlap|
+    is above ``_SURE_OVERLAP`` (those rows are then distinct)."""
+    rows = np.argmax(np.abs(overlap), axis=0)
+    top = overlap[rows, np.arange(overlap.shape[1])]
+    if np.all(np.abs(top) > _SURE_OVERLAP):
+        return rows, np.sign(top)
+    return _greedy_match(overlap, t)
 
-    ``close[j]`` marks eigenvalues j and j+1 as equal.  Any orthonormal basis
-    of a cluster's eigenspace is a valid answer, so the one nearest the
-    previous columns is taken (orthogonal Procrustes, one SVD per cluster).
+
+def _cluster_spans(close: np.ndarray) -> dict[int, list[tuple[int, int]]]:
+    """Column ranges ``[lo, hi)`` of equal eigenvalues, by snapshot.
+
+    ``close[k, j]`` marks eigenvalues j and j+1 of snapshot k as equal; only
+    snapshots holding a cluster get an entry.
     """
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], close.astype(int), [0]))))
-    for lo, hi in zip(edges[::2], edges[1::2] + 1):
+    pad = np.zeros((close.shape[0], 1), dtype=np.int8)
+    edge = np.diff(np.hstack((pad, close.astype(np.int8), pad)), axis=1)
+    ks, lo = np.nonzero(edge > 0)
+    hi = np.nonzero(edge < 0)[1] + 1
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for k, a, b in zip(ks.tolist(), lo.tolist(), hi.tolist()):
+        spans.setdefault(k, []).append((a, b))
+    return spans
+
+
+def _align_clusters(
+    prev_v: np.ndarray, cur_v: np.ndarray, spans: list[tuple[int, int]]
+) -> None:
+    """Rotate each cluster ``cur_v[:, lo:hi]`` of equal eigenvalues onto ``prev_v``.
+
+    Any orthonormal basis of a cluster's eigenspace is a valid answer, so the
+    one nearest the previous columns is taken (orthogonal Procrustes, one SVD
+    per cluster).
+    """
+    for lo, hi in spans:
         u, _, vt = np.linalg.svd(cur_v[:, lo:hi].T @ prev_v[:, lo:hi])
         cur_v[:, lo:hi] = cur_v[:, lo:hi] @ (u @ vt)
 
@@ -140,18 +193,45 @@ def track_spectrum(
     grid = np.asarray(time_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("time grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("time grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     w, v = eigendecompose(build_hamiltonian(system, *pulses.values(grid)))
+    size, n = w.shape
     close = np.diff(w, axis=1) <= _CLUSTER_RTOL * np.max(np.abs(w), axis=1, keepdims=True)
-    clustered = np.any(close, axis=1)
-    ids = np.empty(w.shape, dtype=int)
-    ids[0] = np.arange(w.shape[1])
+    spans = _cluster_spans(close)
     _fix_initial_signs(v[0])
-    for k in range(1, grid.size):
-        if clustered[k]:
-            _align_clusters(v[k - 1], v[k], close[k])
-        ids[k] = ids[k - 1][_greedy_match(v[k - 1], v[k], float(grid[k]))]
+    # Step k-1 -> k is fast when neither snapshot holds a cluster and each
+    # column's overlap with its own predecessor column is above _SURE_OVERLAP:
+    # the match is then the identity and only the column signs can change.
+    diag = np.einsum("kij,kij->kj", v[:-1], v[1:])
+    clustered = np.any(close, axis=1)
+    fast = np.all(np.abs(diag) > _SURE_OVERLAP, axis=1) & ~clustered[1:] & ~clustered[:-1]
+    slow = np.flatnonzero(~fast) + 1
+    # Snapshot k's final basis is v[k] * sign[k]; v[k] itself only ever gets
+    # the cluster rotation, so diag keeps describing the fast steps.
+    sign = np.ones(w.shape)
+    ids = np.empty(w.shape, dtype=int)
+    ids[0] = np.arange(n)
+    done = 0
+    for k in [*slow.tolist(), size]:
+        if k > done + 1:
+            ids[done + 1 : k] = ids[done]
+            sign[done + 1 : k] = sign[done] * np.cumprod(np.sign(diag[done : k - 1]), axis=0)
+        if k == size:
+            break
+        prev = v[k - 1] * sign[k - 1]
+        if k in spans:
+            _align_clusters(prev, v[k], spans[k])
+        match, sign[k] = _match(prev.T @ v[k], float(grid[k]))
+        ids[k] = ids[k - 1][match]
+        done = k
+    v *= sign[:, None, :]
+    _log.debug(
+        "track_spectrum: %d points, %d clustered, %d sequential steps",
+        size, len(spans), slow.size,
+    )
     for arr in (w, v, ids):
         arr.setflags(write=False)
     return [SpectralSnapshot(float(t), w[k], v[k], ids[k]) for k, t in enumerate(grid)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from multilambda import (
     AmbiguousTracking,
     DegenerateSums,
+    MultiLambdaSystem,
     NonSymmetricInput,
     NotSingleResonance,
     Side,
@@ -21,7 +24,9 @@ from multilambda import (
     track_spectrum,
     track_vectors,
 )
+from multilambda import spectral
 
+import cases
 from cases import (
     AMBIGUOUS,
     BLOCKED,
@@ -178,6 +183,130 @@ class TestTracking:
             track_spectrum(LINKED, pul, np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             track_spectrum(LINKED, pul, np.zeros((2, 2)))
+        for grid in ([0.0, np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="time grid must be finite"):
+                track_spectrum(LINKED, pul, np.array(grid))
+
+    def test_debug_record_counts(self, caplog):
+        caplog.set_level(logging.DEBUG, logger=spectral.__name__)
+        pul = pulses(30.0)
+        lo, hi = pul.default_window()
+        grid = np.linspace(lo, hi, 1001)
+        for system in (LINKED, AMBIGUOUS):
+            caplog.clear()
+            snaps = track_spectrum(system, pul, grid)
+            (record,) = [r for r in caplog.records if r.name == spectral.__name__]
+            w = np.array([snap.eigenvalues for snap in snaps])
+            scale = spectral._CLUSTER_RTOL * np.max(np.abs(w), axis=1, keepdims=True)
+            clustered = np.any(np.diff(w, axis=1) <= scale, axis=1)
+            # every step that touches a clustered snapshot is sequential, no other
+            touching = np.count_nonzero(clustered[1:] | clustered[:-1])
+            assert record.getMessage() == (
+                f"track_spectrum: 1001 points, {np.count_nonzero(clustered)} clustered, "
+                f"{touching} sequential steps"
+            )
+            if system is LINKED:
+                assert 0 < touching < 1000
+            else:
+                assert touching == 1000
+
+
+def _reference_track(system, pul, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Track ids and eigenvectors by the per-snapshot loop: rotate each
+    cluster onto the previous basis, then greedy-match every step."""
+    w, v = eigendecompose(build_hamiltonian(system, *pul.values(grid)))
+    n = w.shape[1]
+    close = np.diff(w, axis=1) <= 1e-9 * np.max(np.abs(w), axis=1, keepdims=True)
+    for j in range(n):
+        if v[0][int(np.argmax(np.abs(v[0][:, j]))), j] < 0:
+            v[0][:, j] = -v[0][:, j]
+    ids = np.empty(w.shape, dtype=int)
+    ids[0] = np.arange(n)
+    for k in range(1, grid.size):
+        prev, cur = v[k - 1], v[k]
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], close[k].astype(int), [0]))))
+        for lo, hi in zip(edges[::2], edges[1::2] + 1):
+            u, _, vt = np.linalg.svd(cur[:, lo:hi].T @ prev[:, lo:hi])
+            cur[:, lo:hi] = cur[:, lo:hi] @ (u @ vt)
+        overlap = prev.T @ cur
+        score = np.abs(overlap)
+        match = np.full(n, -1)
+        for _ in range(n):
+            i, j = np.unravel_index(int(np.argmax(score)), score.shape)
+            if score[i, j] < 0.5:
+                raise AmbiguousTracking(
+                    f"best eigenvector overlap {score[i, j]:.3f} < 0.5 at t={float(grid[k])}; "
+                    "refine the time grid"
+                )
+            if overlap[i, j] < 0:
+                cur[:, j] = -cur[:, j]
+            match[j] = i
+            score[i, :] = -1.0
+            score[:, j] = -1.0
+        ids[k] = ids[k - 1][match]
+    return ids, v
+
+
+_CASE_SYSTEMS = {
+    name: value for name, value in vars(cases).items() if isinstance(value, MultiLambdaSystem)
+}
+
+
+class TestFastTracking:
+    """The tracker matches most steps without the greedy matcher; its results
+    must be exactly those of greedy matching on every step."""
+
+    @pytest.mark.parametrize("name", sorted(_CASE_SYSTEMS))
+    def test_same_as_greedy_on_every_step(self, name):
+        system = _CASE_SYSTEMS[name]
+        pul = pulses(30.0)
+        lo, hi = pul.default_window()
+        grids = [np.linspace(lo, hi, points) for points in (2, 5, 7, 23, 201, 2001)]
+        grids += [np.array([-30.0, 30.0]), np.linspace(-120.0, 0.0, 5)]
+        for grid in grids:
+            try:
+                ids, v = _reference_track(system, pul, grid)
+            except AmbiguousTracking as exc:
+                with pytest.raises(AmbiguousTracking) as got:
+                    track_spectrum(system, pul, grid)
+                assert str(got.value) == str(exc)
+                continue
+            snaps = track_spectrum(system, pul, grid)
+            assert np.array_equal(np.array([snap.track_ids for snap in snaps]), ids)
+            fast_v = np.array([snap.eigenvectors for snap in snaps])
+            assert fast_v.tobytes() == v.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=10),
+        seed=st.integers(0, 2**32 - 1),
+        angle=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_argmax_is_greedy_above_the_bound(self, dim, seed, angle):
+        rng = np.random.default_rng(seed)
+        if angle is None:
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        else:
+            # a rotation of the identity by about ``angle``, with columns
+            # permuted and signs flipped
+            a = rng.normal(size=(dim, dim))
+            a = 0.5 * angle * (a - a.T) / np.linalg.norm(a - a.T, 2)
+            q = np.linalg.solve(np.eye(dim) - a, np.eye(dim) + a)
+            q = q[:, rng.permutation(dim)] * rng.choice((-1.0, 1.0), dim)
+        rows = np.argmax(np.abs(q), axis=0)
+        top = q[rows, np.arange(dim)]
+        if np.all(np.abs(top) > spectral._SURE_OVERLAP):
+            match, sign = spectral._greedy_match(q, 0.0)
+            assert np.array_equal(match, rows)
+            assert np.array_equal(sign, np.sign(top))
+        # with or without the bound, the matcher the tracker calls is the greedy one
+        outcomes = []
+        for matcher in (spectral._match, spectral._greedy_match):
+            try:
+                outcomes.append([a.tolist() for a in matcher(q, 0.0)])
+            except AmbiguousTracking as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestAsymptotics:
