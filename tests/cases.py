@@ -93,6 +93,18 @@ LZ_TC_W20 = {"zero": 3.03067902, "small": 0.795323473, "large": -0.00947867582}
 # DOUBLE_ZERO; independent of the pulse width when delay/width is fixed.
 PF_PREDICTION_DOUBLE_ZERO = 0.488469973
 
+# Pinned: largest transient intermediate population at width 30.  SciPy
+# solve_ivp (DOP853, rtol 1e-13, atol 1e-14) with dense output over the
+# default window; the argmax on a 1e-3 grid is refined by a bounded
+# minimize_scalar between its two grid neighbours.
+PEAK_MID_W30 = {
+    "linked": 0.18031827800559028,
+    "res_general": 0.35154665264354834,
+    "dark3": 0.0014698789406470338,
+    "transfer": 0.2184523748559571,
+    "broken": 0.9144172898546171,
+}
+
 # Pinned: boundaries of the no-transfer window of SCAN_BASE, exact roots of
 # 1/x + 4/(1+x) = 0 and 1/x + 0.25/(1+x) = 0.
 WINDOW_BOUNDS = (-0.8, -0.2)
