@@ -2,7 +2,17 @@
 
 Eigenpairs come from LAPACK (``numpy.linalg.eigh``).  A tracked time grid is
 solved in one batched call on the stacked ``(K, N+2, N+2)`` Hamiltonians,
-behind the same exact-symmetry check that single matrices get.
+behind the same finiteness and exact-symmetry checks that single matrices get.
+
+``track_spectrum`` returns one read-only ``numpy.recarray`` with a row per
+grid time and the fields ``t``, ``eigenvalues`` (n,), ``eigenvectors``
+(n, n) and ``track_ids`` (n,), n = N+2.  The fields are the stacked arrays
+(``spec.eigenvalues`` is ``(K, n)``); a row reads ``spec[k].eigenvalues``,
+and iterating yields the rows.  Every array is read-only.  The basis follows
+one convention: labels ascend at the first snapshot, where each column's
+largest component is positive; clusters of equal eigenvalues are
+Procrustes-aligned onto the previous basis; every matched overlap is
+positive.
 
 Eigenvalue curves are continued through time by greedy eigenvector-overlap
 matching between consecutive snapshots.  That is reliable exactly when the
@@ -49,7 +59,6 @@ _log = logging.getLogger(__name__)
 
 __all__ = [
     "eigendecompose",
-    "SpectralSnapshot",
     "track_spectrum",
     "track_curve",
     "track_vectors",
@@ -83,38 +92,17 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric matrix, or of each matrix in a ``(..., n, n)`` stack, by LAPACK.
 
     Returns ``(w, v)`` with ``h @ v[..., :, j] == w[..., j] * v[..., :, j]``.
+    Raises NonSymmetricInput unless every matrix is square, finite and
+    exactly symmetric.
     """
     a = np.asarray(h, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSymmetricInput("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise NonSymmetricInput("matrix entries must be finite")
     if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise NonSymmetricInput("matrix must be exactly symmetric")
     return np.linalg.eigh(a)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralSnapshot:
-    """Spectrum of H(t) at one time, with continuation labels.
-
-    ``eigenvalues`` are ascending and ``eigenvectors[:, j]`` belongs to
-    ``eigenvalues[j]``.  ``track_ids[j]`` is the persistent label of that
-    curve: labels are assigned by ascending order in the first snapshot and
-    carried forward by overlap matching.  Inside a cluster of equal
-    eigenvalues the columns are the cluster basis nearest the previous
-    snapshot's, eigenvectors to within the cluster's width.
-    """
-
-    t: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    track_ids: np.ndarray
-
-
-def _fix_initial_signs(v: np.ndarray) -> None:
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
 
 
 def _greedy_match(overlap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,52 +144,29 @@ def _match(overlap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return _greedy_match(overlap, t)
 
 
-def _cluster_spans(close: np.ndarray) -> dict[int, list[tuple[int, int]]]:
-    """Column ranges ``[lo, hi)`` of equal eigenvalues, by snapshot.
+def _continue_eigenbasis(
+    w: np.ndarray, v: np.ndarray, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Continue the stacked eigenpairs ``w`` (K, n) and ``v`` (K, n, n),
+    taken at the times ``grid``, by the module's basis convention.
 
-    ``close[k, j]`` marks eigenvalues j and j+1 of snapshot k as equal; only
-    snapshots holding a cluster get an entry.
+    Returns ``(ids, sign)``, both (K, n): column j of snapshot k carries the
+    label ``ids[k, j]``, and ``v[k] * sign[k]`` is the continued basis.  Each
+    cluster of equal eigenvalues in ``v`` is first rotated in place onto the
+    previous continued basis (orthogonal Procrustes, one SVD per cluster: any
+    orthonormal basis of the eigenspace is valid, the nearest is taken).
+    Raises AmbiguousTracking where the best overlap drops below 0.5.
     """
-    pad = np.zeros((close.shape[0], 1), dtype=np.int8)
+    size, n = w.shape
+    close = np.diff(w, axis=1) <= _CLUSTER_RTOL * np.max(np.abs(w), axis=1, keepdims=True)
+    # Column ranges [lo, hi) of equal eigenvalues, by clustered snapshot.
+    pad = np.zeros((size, 1), dtype=np.int8)
     edge = np.diff(np.hstack((pad, close.astype(np.int8), pad)), axis=1)
     ks, lo = np.nonzero(edge > 0)
     hi = np.nonzero(edge < 0)[1] + 1
     spans: dict[int, list[tuple[int, int]]] = {}
     for k, a, b in zip(ks.tolist(), lo.tolist(), hi.tolist()):
         spans.setdefault(k, []).append((a, b))
-    return spans
-
-
-def _align_clusters(
-    prev_v: np.ndarray, cur_v: np.ndarray, spans: list[tuple[int, int]]
-) -> None:
-    """Rotate each cluster ``cur_v[:, lo:hi]`` of equal eigenvalues onto ``prev_v``.
-
-    Any orthonormal basis of a cluster's eigenspace is a valid answer, so the
-    one nearest the previous columns is taken (orthogonal Procrustes, one SVD
-    per cluster).
-    """
-    for lo, hi in spans:
-        u, _, vt = np.linalg.svd(cur_v[:, lo:hi].T @ prev_v[:, lo:hi])
-        cur_v[:, lo:hi] = cur_v[:, lo:hi] @ (u @ vt)
-
-
-def track_spectrum(
-    system: MultiLambdaSystem, pulses: PulsePair, time_grid
-) -> list[SpectralSnapshot]:
-    """Diagonalize H(t) over a time grid and link the curves by continuity."""
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("time grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("time grid must be finite")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    w, v = eigendecompose(build_hamiltonian(system, *pulses.values(grid)))
-    size, n = w.shape
-    close = np.diff(w, axis=1) <= _CLUSTER_RTOL * np.max(np.abs(w), axis=1, keepdims=True)
-    spans = _cluster_spans(close)
-    _fix_initial_signs(v[0])
     # Step k-1 -> k is fast when neither snapshot holds a cluster and each
     # column's overlap with its own predecessor column is above _SURE_OVERLAP:
     # the match is then the identity and only the column signs can change.
@@ -209,9 +174,11 @@ def track_spectrum(
     clustered = np.any(close, axis=1)
     fast = np.all(np.abs(diag) > _SURE_OVERLAP, axis=1) & ~clustered[1:] & ~clustered[:-1]
     slow = np.flatnonzero(~fast) + 1
-    # Snapshot k's final basis is v[k] * sign[k]; v[k] itself only ever gets
-    # the cluster rotation, so diag keeps describing the fast steps.
+    # Snapshot k's continued basis is v[k] * sign[k]; v[k] itself only ever
+    # gets the cluster rotation, so diag keeps describing the fast steps.
+    # The first snapshot's signs make each column's largest component positive.
     sign = np.ones(w.shape)
+    sign[0][v[0][np.argmax(np.abs(v[0]), axis=0), np.arange(n)] < 0] = -1.0
     ids = np.empty(w.shape, dtype=int)
     ids[0] = np.arange(n)
     done = 0
@@ -222,41 +189,70 @@ def track_spectrum(
         if k == size:
             break
         prev = v[k - 1] * sign[k - 1]
-        if k in spans:
-            _align_clusters(prev, v[k], spans[k])
+        for a, b in spans.get(k, ()):
+            u, _, vt = np.linalg.svd(v[k][:, a:b].T @ prev[:, a:b])
+            v[k][:, a:b] = v[k][:, a:b] @ (u @ vt)
         match, sign[k] = _match(prev.T @ v[k], float(grid[k]))
         ids[k] = ids[k - 1][match]
         done = k
-    v *= sign[:, None, :]
     _log.debug(
         "track_spectrum: %d points, %d clustered, %d sequential steps",
         size, len(spans), slow.size,
     )
-    for arr in (w, v, ids):
-        arr.setflags(write=False)
-    return [SpectralSnapshot(float(t), w[k], v[k], ids[k]) for k, t in enumerate(grid)]
+    return ids, sign
 
 
-def _track_columns(snapshots: list[SpectralSnapshot], track_id: int) -> np.ndarray:
-    """Column of the labelled curve in each snapshot, found in one pass."""
-    hit = np.array([snap.track_ids for snap in snapshots]) == track_id
+def track_spectrum(system: MultiLambdaSystem, pulses: PulsePair, time_grid) -> np.recarray:
+    """Diagonalize H(t) over a time grid and link the curves by continuity.
+
+    Returns a read-only record array with one row per grid time and the
+    fields ``t``, ``eigenvalues`` (n,), ``eigenvectors`` (n, n) and
+    ``track_ids`` (n,), n = N+2.  ``spec.eigenvalues`` is the stacked
+    ``(K, n)`` array and ``spec[k].eigenvalues`` row k.  Eigenvalues ascend;
+    ``eigenvectors[:, j]`` belongs to ``eigenvalues[j]`` and carries the
+    curve label ``track_ids[j]``.  Labels ascend at the first snapshot, where
+    each column's largest component is positive; afterwards each column has
+    a positive overlap with the column of the same label before it.  Inside
+    a cluster of equal eigenvalues the columns are the cluster basis nearest
+    the previous snapshot's (orthogonal Procrustes), eigenvectors to within
+    the cluster's width.
+    """
+    grid = np.asarray(time_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("time grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("time grid must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    w, v = eigendecompose(build_hamiltonian(system, *pulses.values(grid)))
+    ids, sign = _continue_eigenbasis(w, v, grid)
+    n = w.shape[1]
+    spec = np.recarray(grid.size, dtype=[
+        ("t", float), ("eigenvalues", float, (n,)),
+        ("eigenvectors", float, (n, n)), ("track_ids", int, (n,)),
+    ])
+    spec.t, spec.eigenvalues, spec.track_ids = grid, w, ids
+    spec.eigenvectors = v * sign[:, None, :]
+    spec.setflags(write=False)
+    return spec
+
+
+def _track_columns(spec: np.recarray, track_id: int) -> np.ndarray:
+    """Column of the labelled curve in each snapshot."""
+    hit = spec.track_ids == track_id
     if not np.all(np.count_nonzero(hit, axis=1) == 1):
         raise ValueError(f"track {track_id} is not labelled exactly once in every snapshot")
     return np.argmax(hit, axis=1)
 
 
-def track_curve(snapshots: list[SpectralSnapshot], track_id: int) -> np.ndarray:
+def track_curve(spec: np.recarray, track_id: int) -> np.ndarray:
     """Eigenvalue of one labelled curve across all snapshots."""
-    cols = _track_columns(snapshots, track_id)
-    w = np.array([snap.eigenvalues for snap in snapshots])
-    return w[np.arange(len(snapshots)), cols]
+    return spec.eigenvalues[np.arange(len(spec)), _track_columns(spec, track_id)]
 
 
-def track_vectors(snapshots: list[SpectralSnapshot], track_id: int) -> np.ndarray:
+def track_vectors(spec: np.recarray, track_id: int) -> np.ndarray:
     """Eigenvector of one labelled curve, rows indexed like the snapshots."""
-    cols = _track_columns(snapshots, track_id)
-    v = np.array([snap.eigenvectors for snap in snapshots])
-    return v[np.arange(len(snapshots)), :, cols]
+    return spec.eigenvectors[np.arange(len(spec)), :, _track_columns(spec, track_id)]
 
 
 class Side(Enum):

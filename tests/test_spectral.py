@@ -14,7 +14,6 @@ from multilambda import (
     NonSymmetricInput,
     NotSingleResonance,
     Side,
-    SpectralSnapshot,
     asymptotic_eigenvalues_offres,
     asymptotic_eigenvalues_res,
     asymptotics_valid,
@@ -84,6 +83,17 @@ class TestEigendecompose:
             with pytest.raises(NonSymmetricInput):
                 eigendecompose(bad)
 
+    def test_rejects_non_finite_entries(self):
+        a = _random_symmetric(np.random.default_rng(9), 4)
+        for bad in (np.nan, np.inf, -np.inf):
+            one = a.copy()
+            one[1, 2] = one[2, 1] = bad
+            stack = np.array([a] * 3)
+            stack[2, 3, 3] = bad
+            for h in (one, stack):
+                with pytest.raises(NonSymmetricInput, match="matrix entries must be finite"):
+                    eigendecompose(h)
+
     def test_stack_matches_single_matrices(self):
         rng = np.random.default_rng(7)
         stack = np.array([_random_symmetric(rng, 5) for _ in range(6)])
@@ -131,11 +141,21 @@ class TestTracking:
             assert np.min(overlaps) > 0.9
 
     def test_snapshot_arrays_are_frozen(self):
-        snaps = track_spectrum(LINKED, pulses(30.0), np.array([-10.0, 0.0, 10.0]))
-        snap = snaps[1]
-        assert not snap.eigenvalues.flags.writeable
-        assert not snap.eigenvectors.flags.writeable
-        assert snap.eigenvalues.shape == (4,)
+        grid = np.array([-10.0, 0.0, 10.0])
+        spec = track_spectrum(LINKED, pulses(30.0), grid)
+        fields = ("t", "eigenvalues", "eigenvectors", "track_ids")
+        shapes = [getattr(spec, name).shape for name in fields]
+        assert shapes == [(3,), (3, 4), (3, 4, 4), (3, 4)]
+        for name in fields:
+            assert not getattr(spec, name).flags.writeable, name
+            for row in spec:
+                assert not getattr(row, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            spec[1].eigenvalues[0] = 0.0
+        assert spec.t.tobytes() == grid.tobytes()
+        # iterating the rows gives back the stacked fields
+        assert np.array([r.eigenvalues for r in spec]).tobytes() == spec.eigenvalues.tobytes()
+        assert np.array([r.track_ids for r in spec]).tobytes() == spec.track_ids.tobytes()
 
     def test_degenerate_cluster_refuses_coarse_grid(self):
         pul = pulses(30.0)
@@ -166,16 +186,16 @@ class TestTracking:
 
     def test_curve_extraction_refuses_missing_label(self):
         pul = pulses(30.0)
-        snaps = track_spectrum(LINKED, pul, np.linspace(-60.0, 60.0, 41))
-        with pytest.raises(ValueError):
-            track_curve(snaps, LINKED.dimension)
+        spec = track_spectrum(LINKED, pul, np.linspace(-60.0, 60.0, 41))
+        for extract in (track_curve, track_vectors):
+            with pytest.raises(ValueError):
+                extract(spec, LINKED.dimension)
         # a label present in all snapshots but one is refused too
-        s0 = snaps[0]
-        broken = [SpectralSnapshot(s0.t, s0.eigenvalues, s0.eigenvectors, s0.track_ids + 1)]
-        with pytest.raises(ValueError):
-            track_curve(broken + snaps[1:], 0)
-        with pytest.raises(ValueError):
-            track_vectors(broken + snaps[1:], 0)
+        broken = spec.copy()
+        broken.track_ids[0] += 1
+        for extract in (track_curve, track_vectors):
+            with pytest.raises(ValueError):
+                extract(broken, 0)
 
     def test_grid_validation(self):
         pul = pulses(30.0)
