@@ -22,9 +22,11 @@ from multilambda import (
 )
 
 from cases import (
+    AMBIGUOUS,
     BLOCKED,
     BROKEN,
     DARK3,
+    DEGEN_REDUCIBLE,
     DOUBLE_ZERO,
     LINKED,
     NON_FINITE,
@@ -177,11 +179,22 @@ DETUNING_POINTS = [
     (SCAN_BASE.with_common_detuning(float(v)), pulses(4.0)) for v in np.linspace(-2, 2, 10)
 ]
 WIDTH_POINTS = [(TRANSFER, pulses(float(w))) for w in np.linspace(2.0, 6.0, 10)]
+# Six-point common-detuning sweeps at N = 4 and N = 8: state vectors of 6
+# and 10 entries, on either side of the reduction length (8) where NumPy's
+# pairwise summation changes code path.
+WIDE_POINTS = [
+    [(base.with_common_detuning(float(v)), pulses(4.0)) for v in np.linspace(-2, 2, 6)]
+    for base in (DEGEN_REDUCIBLE, AMBIGUOUS)
+]
 CHEAP = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9)
 
 
 class TestBatch:
-    @pytest.mark.parametrize("points", [DETUNING_POINTS, WIDTH_POINTS], ids=["detuning", "width"])
+    @pytest.mark.parametrize(
+        "points",
+        [DETUNING_POINTS, WIDTH_POINTS, *WIDE_POINTS],
+        ids=["detuning", "width", "detuning-n4", "detuning-n8"],
+    )
     def test_chunks_match_single_points_bitwise(self, points):
         single = [propagate(system, pul, CHEAP) for system, pul in points]
         assert sum(res.n_rejected for res in single) >= 1
