@@ -141,7 +141,7 @@ def _classify_degenerate(system: MultiLambdaSystem, resonant: tuple[int, ...]) -
             "resonant-subspace-not-proportional",
             resonant=resonant,
         )
-    reduced, _ = reduce_degenerate(system, resonant)
+    reduced, _ = reduce_degenerate(system)
     sub = classify(reduced)
     if n0 >= 3:
         zero = ZeroEigenvalue.STRUCTURAL
@@ -237,27 +237,19 @@ def no_at_intervals(
     return bad
 
 
-def reduce_degenerate(
-    system: MultiLambdaSystem, resonant: tuple[int, ...] | None = None
-) -> tuple[MultiLambdaSystem, float]:
-    """Collapse proportional degenerate resonant states into one.
+def reduce_degenerate(system: MultiLambdaSystem) -> tuple[MultiLambdaSystem, float]:
+    """Collapse the proportional degenerate resonant states into one.
 
     Returns the reduced system and the coupling boost factor mu: the
     resonant block is replaced, at the position of its first member, by a
     single resonant state with couplings mu*alpha, mu*beta of that member,
     mu = sqrt(sum of squared resonant pump couplings)/alpha_first.  The
     reduction leaves the initial- and final-state dynamics exactly
-    unchanged.  Passing a single resonant state is allowed (mu = 1).
+    unchanged.  A single resonant state is passed through (mu = 1).
     """
-    if resonant is None:
-        resonant = system.resonant_indices()
+    resonant = system.resonant_indices()
     if len(resonant) == 0:
         raise PreconditionViolated("no resonant states to reduce")
-    for k in resonant:
-        if not 0 <= k < system.n_intermediate:
-            raise PreconditionViolated(f"index {k} out of range")
-        if system.detunings[k] != 0.0:
-            raise PreconditionViolated(f"state {k} is not resonant")
     if not system.is_proportional(indices=resonant):
         raise NotProportional(
             "resonant couplings are not proportional; no reduction exists"
@@ -348,7 +340,10 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
     problem whose exponent scales with (omega0*T)^2 * xi.  Larger xi means
     the adiabatic limit is reached at smaller pulse areas.  The estimate is
     rough by construction; use it for ordering, not absolute probabilities.
+    A resonant system has no detuning sums and raises NoCrossing too.
     """
+    if system.resonant_indices():
+        raise NoCrossing("resonant state present")
     s = s_sums(system)
     if not s.crossing():
         raise NoCrossing("effective detuning does not cross zero")

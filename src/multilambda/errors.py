@@ -20,7 +20,6 @@ __all__ = [
     "BothEnvelopesZero",
     "NonSymmetricInput",
     "DegenerateSums",
-    "NotSingleResonance",
     "WrongResonanceCount",
     "NotProportional",
     "NoCrossing",
@@ -86,10 +85,6 @@ class NonSymmetricInput(MultiLambdaError):
 
 class DegenerateSums(MultiLambdaError):
     """An asymptotic formula needs a detuning sum that vanishes."""
-
-
-class NotSingleResonance(MultiLambdaError):
-    """The operation needs exactly one zero detuning at the given index."""
 
 
 class WrongResonanceCount(MultiLambdaError):

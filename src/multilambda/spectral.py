@@ -47,12 +47,11 @@ one pass, and a run of steps whose every diagonal entry is above 0.75 keeps
 its labels and takes its column signs from one cumulative product; this
 includes the chained steps, whose aligned cluster overlaps are symmetric
 positive definite.  Only the steps below the bound, including those whose
-labels permute, are matched one at a time against the previous continued
-basis: by the per-column argmax when every column is above the bound, by
-``_greedy_match`` otherwise.  Either way the labels, eigenvectors and
-refusals are bit for bit those of aligning and greedy matching one step at
-a time.  A debug log record gives the grid size, the number of clustered
-snapshots and the number of steps matched one at a time.
+labels permute, are matched one at a time, by ``_greedy_match`` against the
+previous continued basis.  The labels, eigenvectors and refusals are bit for
+bit those of aligning and greedy matching one step at a time.  A debug log
+record gives the grid size, the number of clustered snapshots and the
+number of steps matched one at a time.
 """
 
 from __future__ import annotations
@@ -63,12 +62,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    AmbiguousTracking,
-    DegenerateSums,
-    NonSymmetricInput,
-    NotSingleResonance,
-)
+from .errors import AmbiguousTracking, DegenerateSums, NonSymmetricInput, WrongResonanceCount
 from .model import MultiLambdaSystem, PulsePair, build_hamiltonian, s_sums
 
 _log = logging.getLogger(__name__)
@@ -80,8 +74,7 @@ __all__ = [
     "track_vectors",
     "Side",
     "AsymptoticEigenvalues",
-    "asymptotic_eigenvalues_offres",
-    "asymptotic_eigenvalues_res",
+    "asymptotic_eigenvalues",
     "asymptotics_valid",
 ]
 
@@ -89,9 +82,8 @@ __all__ = [
 _MIN_OVERLAP = 0.5
 
 # Above this |overlap| (a margin over 1/sqrt(2) for rounding) an entry is the
-# only one of its row and column that large, so a step whose every column
-# has one is matched by a per-column argmax, exactly as the greedy matcher
-# would match it.
+# only one of its row and column that large, so a step whose every diagonal
+# overlap is above it is the identity match the greedy matcher would make.
 _SURE_OVERLAP = 0.75
 
 # asymptotics_valid bounds omega_weak/omega_strong, and omega_strong times
@@ -153,16 +145,6 @@ def _greedy_match(overlap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray
         score[i, :] = -1.0
         score[:, j] = -1.0
     return match, sign
-
-
-def _match(overlap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_greedy_match``, by one argmax when every column's best |overlap|
-    is above ``_SURE_OVERLAP`` (those rows are then distinct)."""
-    rows = np.argmax(np.abs(overlap), axis=0)
-    top = overlap[rows, np.arange(overlap.shape[1])]
-    if np.all(np.abs(top) > _SURE_OVERLAP):
-        return rows, np.sign(top)
-    return _greedy_match(overlap, t)
 
 
 def _cluster_spans(w: np.ndarray) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -261,7 +243,7 @@ def _continue_eigenbasis(
             sign[done + 1 : k] = sign[done] * np.cumprod(np.sign(diag[done : k - 1]), axis=0)
         if k == size:
             break
-        match, sign[k] = _match((v[k - 1] * sign[k - 1]).T @ v[k], float(grid[k]))
+        match, sign[k] = _greedy_match((v[k - 1] * sign[k - 1]).T @ v[k], float(grid[k]))
         ids[k] = ids[k - 1][match]
         done = k
     _log.debug(
@@ -344,24 +326,22 @@ class AsymptoticEigenvalues:
 
 
 def asymptotics_valid(
-    pulses: PulsePair, t: float, side: Side, system: MultiLambdaSystem | None = None
+    system: MultiLambdaSystem, pulses: PulsePair, t: float, side: Side
 ) -> bool:
     """Whether ``t`` is far enough into the requested tail for the expansions.
 
     Early means the pump is still negligible against the Stokes field
-    (omega_p/omega_s < 0.1), late the reverse.  Given ``system``, the
-    dominant envelope omega must also be small against every nonzero
-    detuning: omega * max(alpha_k, beta_k)/|Delta_k| < 0.1 over the
-    non-resonant k, the parameter of the neglected next-order terms.  The
-    formulas extrapolate smoothly outside this domain but lose accuracy;
-    callers decide.
+    (omega_p/omega_s < 0.1), late the reverse.  The dominant envelope omega
+    must also be small against every nonzero detuning:
+    omega * max(alpha_k, beta_k)/|Delta_k| < 0.1 over the non-resonant k,
+    the parameter of the neglected next-order terms.  The formulas
+    extrapolate smoothly outside this domain but lose accuracy; callers
+    decide.
     """
     wp, ws = pulses.values(t)
     weak, strong = (wp, ws) if side is Side.EARLY else (ws, wp)
     if not (strong > 0 and weak / strong < _ASYMPTOTIC_RATIO):
         return False
-    if system is None:
-        return True
     coupling = max(
         (
             max(a, b) / abs(d)
@@ -373,43 +353,37 @@ def asymptotics_valid(
     return bool(strong * coupling < _ASYMPTOTIC_RATIO)
 
 
-def asymptotic_eigenvalues_offres(
+def asymptotic_eigenvalues(
     system: MultiLambdaSystem, omega_p: float, omega_s: float, side: Side
 ) -> AsymptoticEigenvalues:
-    """Leading-order vanishing eigenvalues with no resonant state.
+    """Leading-order vanishing eigenvalues in one tail of the sequence.
 
-    Early in the sequence the two curves that vanish asymptotically behave as
-    ``-res/S_b2 * omega_p^2`` (small) and ``-S_b2 * omega_s^2`` (large) with
-    ``res = S_a2 S_b2 - S_ab^2``; late, the roles of the sums and envelopes
-    swap.  The denominator sum must not vanish.
+    With no resonant state two curves vanish asymptotically.  Early they
+    behave as ``-res/S_b2 * omega_p^2`` (small) and ``-S_b2 * omega_s^2``
+    (large) with ``res = S_a2 S_b2 - S_ab^2``; late, the roles of the sums
+    and envelopes swap.  The denominator sum must not vanish
+    (DegenerateSums).  With exactly one resonant state n three curves
+    vanish: a small one quadratic in the weak envelope and the symmetric
+    pair ``-/+ beta_n omega_s`` early, ``-/+ alpha_n omega_p`` late; the
+    bracket combines the detuning sums taken without n.  Two or more
+    resonant states raise WrongResonanceCount.
     """
-    s = s_sums(system)
-    res = s.residual()
-    if side is Side.EARLY:
-        if s.b2_is_zero():
-            raise DegenerateSums("S_b2 vanishes; early asymptotics undefined")
-        return AsymptoticEigenvalues(
-            side, -res / s.s_b2 * omega_p**2, (-s.s_b2 * omega_s**2,)
-        )
-    if s.a2_is_zero():
-        raise DegenerateSums("S_a2 vanishes; late asymptotics undefined")
-    return AsymptoticEigenvalues(side, -res / s.s_a2 * omega_s**2, (-s.s_a2 * omega_p**2,))
-
-
-def asymptotic_eigenvalues_res(
-    system: MultiLambdaSystem, n: int, omega_p: float, omega_s: float, side: Side
-) -> AsymptoticEigenvalues:
-    """Leading-order vanishing eigenvalues with exactly state ``n`` resonant.
-
-    Three curves vanish in each tail: a small one quadratic in the weak
-    envelope and a symmetric pair linear in the strong one.  The bracket
-    combines the detuning sums taken without the resonant state.
-    """
-    res = system.resonant_indices()
-    if res != (n,):
-        raise NotSingleResonance(
-            f"need detuning {n} exactly zero and all others nonzero, got zeros at {res}"
-        )
+    resonant = system.resonant_indices()
+    if len(resonant) > 1:
+        raise WrongResonanceCount("asymptotics handle zero or one resonant state")
+    if not resonant:
+        s = s_sums(system)
+        res = s.residual()
+        if side is Side.EARLY:
+            if s.b2_is_zero():
+                raise DegenerateSums("S_b2 vanishes; early asymptotics undefined")
+            return AsymptoticEigenvalues(
+                side, -res / s.s_b2 * omega_p**2, (-s.s_b2 * omega_s**2,)
+            )
+        if s.a2_is_zero():
+            raise DegenerateSums("S_a2 vanishes; late asymptotics undefined")
+        return AsymptoticEigenvalues(side, -res / s.s_a2 * omega_s**2, (-s.s_a2 * omega_p**2,))
+    n = resonant[0]
     an, bn = system.alphas[n], system.betas[n]
     bracket = s_sums(system, excluded=n).bracket(an, bn)
     if side is Side.EARLY:

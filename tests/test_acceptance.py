@@ -33,12 +33,7 @@ from multilambda.model import (
     build_hamiltonian,
     det_closed_form,
 )
-from multilambda.spectral import (
-    Side,
-    asymptotic_eigenvalues_offres,
-    asymptotic_eigenvalues_res,
-    eigendecompose,
-)
+from multilambda.spectral import Side, asymptotic_eigenvalues, eigendecompose
 
 from cases import (
     BROKEN,
@@ -150,13 +145,13 @@ def test_criterion_4_eigenvalue_asymptotics(criterion_log):
     mults = (1.0, 1.15, 1.3, 1.45)
     base = pair.width + 2.0 * pair.delay
     cases = [
-        ("linked", LINKED, None),
-        ("broken", BROKEN, None),
-        ("res-dark", RES_DARK, 0),
-        ("res-general", RES_GENERAL, 0),
+        ("linked", LINKED),
+        ("broken", BROKEN),
+        ("res-dark", RES_DARK),
+        ("res-general", RES_GENERAL),
     ]
     failures = []
-    for label, system, n in cases:
+    for label, system in cases:
         for side in (Side.EARLY, Side.LATE):
             sign = -1.0 if side is Side.EARLY else 1.0
             errs: dict[str, list[float]] = {}
@@ -164,10 +159,7 @@ def test_criterion_4_eigenvalue_asymptotics(criterion_log):
                 t = sign * base * m
                 wp, ws = pair.values(t)
                 eigs, _ = eigendecompose(build_hamiltonian(system, wp, ws))
-                if n is None:
-                    pred = asymptotic_eigenvalues_offres(system, wp, ws, side)
-                else:
-                    pred = asymptotic_eigenvalues_res(system, n, wp, ws, side)
+                pred = asymptotic_eigenvalues(system, wp, ws, side)
                 parts = [("small", pred.small)]
                 parts += [(f"large[{j}]", v) for j, v in enumerate(pred.large)]
                 for name, value in parts:

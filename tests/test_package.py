@@ -29,13 +29,16 @@ EARLIER_NAMES = {
 
 # Deleted because each restated another route: the sum-form and pair-form
 # determinants and the detuning products (``det_closed_form``), the effective
-# two-state model (``adiabatic_eliminate``), the one-member pulse-shape enum
-# and the per-snapshot record (one row of ``track_spectrum``'s stacked result).
+# two-state model (``adiabatic_eliminate``), the one-member pulse-shape enum,
+# the per-snapshot record (one row of ``track_spectrum``'s stacked result) and
+# the per-regime tail asymptotics with their resonance-index check
+# (``asymptotic_eigenvalues``, which reads the resonance from the system).
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
     "effective_two_state", "PulseShape", "det_offres_sum_form",
     "det_single_res_sum_form", "det_pair_form", "SpectralSnapshot",
+    "asymptotic_eigenvalues_offres", "asymptotic_eigenvalues_res", "NotSingleResonance",
 }
 
 

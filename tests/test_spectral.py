@@ -12,10 +12,9 @@ from multilambda import (
     DegenerateSums,
     MultiLambdaSystem,
     NonSymmetricInput,
-    NotSingleResonance,
     Side,
-    asymptotic_eigenvalues_offres,
-    asymptotic_eigenvalues_res,
+    WrongResonanceCount,
+    asymptotic_eigenvalues,
     asymptotics_valid,
     build_hamiltonian,
     eigendecompose,
@@ -469,23 +468,17 @@ class TestFastTracking:
             match, sign = spectral._greedy_match(q, 0.0)
             assert np.array_equal(match, rows)
             assert np.array_equal(sign, np.sign(top))
-        # with or without the bound, the matcher the tracker calls is the greedy one
-        outcomes = []
-        for matcher in (spectral._match, spectral._greedy_match):
-            try:
-                outcomes.append([a.tolist() for a in matcher(q, 0.0)])
-            except AmbiguousTracking as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
 
 
 class TestAsymptotics:
     def test_validity_predicate(self):
+        # far enough detuned that only the envelope ratio decides
+        far = MultiLambdaSystem((1, 1), (1, 1), (20, 30))
         pul = pulses(30.0)
-        assert asymptotics_valid(pul, -60.0, Side.EARLY)
-        assert not asymptotics_valid(pul, 0.0, Side.EARLY)
-        assert asymptotics_valid(pul, 60.0, Side.LATE)
-        assert not asymptotics_valid(pul, -60.0, Side.LATE)
+        assert asymptotics_valid(far, pul, -60.0, Side.EARLY)
+        assert not asymptotics_valid(far, pul, 0.0, Side.EARLY)
+        assert asymptotics_valid(far, pul, 60.0, Side.LATE)
+        assert not asymptotics_valid(far, pul, -60.0, Side.LATE)
 
     def test_validity_knows_the_detunings(self):
         # Late side at width 30: at t=+60 the envelope ratio is small but
@@ -494,23 +487,22 @@ class TestAsymptotics:
         pul = pulses(30.0)
         wp, _ = pul.values(60.0)
         assert 4.0 * wp == pytest.approx(0.4216, abs=1e-4)
-        assert asymptotics_valid(pul, 60.0, Side.LATE)
-        assert not asymptotics_valid(pul, 60.0, Side.LATE, system=BROKEN)
-        assert asymptotics_valid(pul, 87.0, Side.LATE, system=BROKEN)
-        # the envelope-ratio condition still applies with a system
-        assert not asymptotics_valid(pul, -87.0, Side.LATE, system=BROKEN)
-        assert asymptotics_valid(pul, -87.0, Side.EARLY, system=BROKEN)
+        assert not asymptotics_valid(BROKEN, pul, 60.0, Side.LATE)
+        assert asymptotics_valid(BROKEN, pul, 87.0, Side.LATE)
+        # the envelope-ratio condition still applies
+        assert not asymptotics_valid(BROKEN, pul, -87.0, Side.LATE)
+        assert asymptotics_valid(BROKEN, pul, -87.0, Side.EARLY)
 
     def test_validity_ignores_resonant_states(self):
         # RES_DARK's resonant pathway has no detuning to compare with
-        assert asymptotics_valid(pulses(30.0), 87.0, Side.LATE, system=RES_DARK)
+        assert asymptotics_valid(RES_DARK, pulses(30.0), 87.0, Side.LATE)
 
     @pytest.mark.parametrize("side", [Side.EARLY, Side.LATE])
     def test_offres_formulas_approach_spectrum(self, side):
         pul = pulses(30.0)
         t = -75.0 if side is Side.EARLY else 75.0  # 2.5 widths out
         wp, ws = pul.values(t)
-        pred = asymptotic_eigenvalues_offres(LINKED, wp, ws, side)
+        pred = asymptotic_eigenvalues(LINKED, wp, ws, side)
         evs, _ = eigendecompose(build_hamiltonian(LINKED, wp, ws))
         for value in (pred.small, *pred.large):
             nearest = evs[np.argmin(np.abs(evs - value))]
@@ -521,7 +513,7 @@ class TestAsymptotics:
         pul = pulses(30.0)
         t = -75.0 if side is Side.EARLY else 75.0
         wp, ws = pul.values(t)
-        pred = asymptotic_eigenvalues_res(RES_DARK, 0, wp, ws, side)
+        pred = asymptotic_eigenvalues(RES_DARK, wp, ws, side)
         evs, _ = eigendecompose(build_hamiltonian(RES_DARK, wp, ws))
         # proportional couplings make the small eigenvalue exactly zero
         assert pred.small == 0.0
@@ -534,12 +526,10 @@ class TestAsymptotics:
     def test_degenerate_sums_refused(self):
         # BLOCKED has a vanishing Stokes sum, PUMP_BLOCKED a vanishing pump sum
         with pytest.raises(DegenerateSums):
-            asymptotic_eigenvalues_offres(BLOCKED, 0.1, 0.9, Side.EARLY)
+            asymptotic_eigenvalues(BLOCKED, 0.1, 0.9, Side.EARLY)
         with pytest.raises(DegenerateSums):
-            asymptotic_eigenvalues_offres(PUMP_BLOCKED, 0.9, 0.1, Side.LATE)
+            asymptotic_eigenvalues(PUMP_BLOCKED, 0.9, 0.1, Side.LATE)
 
     def test_single_resonance_required(self):
-        with pytest.raises(NotSingleResonance):
-            asymptotic_eigenvalues_res(DEGEN_NONPROP_2, 0, 0.5, 0.5, Side.EARLY)
-        with pytest.raises(NotSingleResonance):
-            asymptotic_eigenvalues_res(RES_DARK, 1, 0.5, 0.5, Side.EARLY)
+        with pytest.raises(WrongResonanceCount):
+            asymptotic_eigenvalues(DEGEN_NONPROP_2, 0.5, 0.5, Side.EARLY)
