@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoCrossing, NotProportional, PreconditionViolated, WrongResonanceCount
-from .model import MultiLambdaSystem, PulsePair, SSums, s_sums
+from .model import MultiLambdaSystem, PulsePair
 
 __all__ = [
     "Regime",
@@ -36,9 +36,6 @@ __all__ = [
     "LzEstimate",
     "lz_estimate",
 ]
-
-_MARGINAL_RTOL = 1e-9
-
 
 class Regime(Enum):
     OFF_RESONANT = "off-resonant"
@@ -64,65 +61,61 @@ class AtClassification:
     """Outcome of the analytic feasibility test.
 
     ``reason`` is a stable machine-readable code naming the condition that
-    decided ``at_state``.  ``s_sums`` is populated in the off-resonant
-    regime only; ``resonant`` lists the indices of exactly resonant states.
+    decided ``at_state``.  The sums and the resonant states behind the
+    verdict are the system's own ``sums`` and ``resonant_indices()``.
     """
 
     regime: Regime
     zero_eigenvalue: ZeroEigenvalue
     at_state: AtState
     reason: str
-    s_sums: SSums | None = None
-    resonant: tuple[int, ...] = ()
 
 
 def _classify_off_resonant(system: MultiLambdaSystem) -> AtClassification:
-    s = s_sums(system)
+    s = system.sums
     if s.all_zero():
         # The transfer state is degenerate with a second zero-eigenvalue
         # state for the whole pulse sequence; population oscillates between
         # them instead of following either.
         return AtClassification(
             Regime.OFF_RESONANT, ZeroEigenvalue.DOUBLE, AtState.NOT_EXISTS,
-            "double-zero-eigenvalue", s,
+            "double-zero-eigenvalue",
         )
     zero = ZeroEigenvalue.SIMPLE if s.residual_is_zero() else ZeroEigenvalue.NONE
     if system.is_proportional():
         return AtClassification(
-            Regime.OFF_RESONANT, zero, AtState.EXISTS_DARK, "proportional-dark-state", s
+            Regime.OFF_RESONANT, zero, AtState.EXISTS_DARK, "proportional-dark-state"
         )
     if s.a2_is_zero():
-        return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "pump-sum-zero", s)
+        return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "pump-sum-zero")
     if s.b2_is_zero():
-        return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "stokes-sum-zero", s)
+        return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "stokes-sum-zero")
 
     state = AtState.EXISTS_GENERAL if s.crossing() else AtState.NOT_EXISTS
-    if abs(s.s_a2 * s.s_b2) < _MARGINAL_RTOL * s.s_a2_scale * s.s_b2_scale:
+    if s.crossing_is_marginal():
         # Too close to a window boundary to trust the sign; the adiabatic
         # limit is approached too slowly there for the verdict to matter.
-        return AtClassification(Regime.OFF_RESONANT, zero, state, "marginal", s)
+        return AtClassification(Regime.OFF_RESONANT, zero, state, "marginal")
     if state is AtState.NOT_EXISTS:
         reason = "detuning-sums-opposite-sign"
     elif zero is ZeroEigenvalue.SIMPLE:
         reason = "zero-eigenvalue-transfer-state"
     else:
         reason = "detuning-sums-same-sign"
-    return AtClassification(Regime.OFF_RESONANT, zero, state, reason, s)
+    return AtClassification(Regime.OFF_RESONANT, zero, state, reason)
 
 
 def _classify_single_resonant(system: MultiLambdaSystem, n: int) -> AtClassification:
-    simple = s_sums(system, excluded=n).bracket_is_zero(system.alphas[n], system.betas[n])
+    simple = system.sums.bracket_is_zero(system.alphas[n], system.betas[n])
     zero = ZeroEigenvalue.SIMPLE if simple else ZeroEigenvalue.NONE
     # A transfer path through the resonant state exists unconditionally;
     # it is dark exactly when the couplings are proportional.
     if system.is_proportional():
         return AtClassification(
-            Regime.SINGLE_RESONANT, zero, AtState.EXISTS_DARK, "proportional-dark-state",
-            resonant=(n,),
+            Regime.SINGLE_RESONANT, zero, AtState.EXISTS_DARK, "proportional-dark-state"
         )
     return AtClassification(
-        Regime.SINGLE_RESONANT, zero, AtState.EXISTS_GENERAL, "single-resonant-channel",
-        resonant=(n,),
+        Regime.SINGLE_RESONANT, zero, AtState.EXISTS_GENERAL, "single-resonant-channel"
     )
 
 
@@ -139,7 +132,6 @@ def _classify_degenerate(system: MultiLambdaSystem, resonant: tuple[int, ...]) -
             zero,
             AtState.NOT_EXISTS,
             "resonant-subspace-not-proportional",
-            resonant=resonant,
         )
     reduced, _ = reduce_degenerate(system)
     sub = classify(reduced)
@@ -155,9 +147,7 @@ def _classify_degenerate(system: MultiLambdaSystem, resonant: tuple[int, ...]) -
         reason = "proportional-dark-state"
     else:
         reason = "resonant-subspace-proportional"
-    return AtClassification(
-        Regime.DEGENERATE_RESONANT, zero, sub.at_state, reason, resonant=resonant
-    )
+    return AtClassification(Regime.DEGENERATE_RESONANT, zero, sub.at_state, reason)
 
 
 def classify(system: MultiLambdaSystem) -> AtClassification:
@@ -229,7 +219,7 @@ def no_at_intervals(
         shifted = system.with_common_detuning(mid)
         if shifted.resonant_indices():
             continue  # midpoint fell on a pole: zero-width piece
-        if not s_sums(shifted).crossing():
+        if not shifted.sums.crossing():
             if bad and bad[-1][1] == x0:
                 bad[-1] = (bad[-1][0], x1)
             else:
@@ -295,8 +285,8 @@ def adiabatic_eliminate(
     """
     resonant = system.resonant_indices()
     wp, ws = pulses.values(t)
+    s = system.sums
     if len(resonant) == 0:
-        s = s_sums(system)
         return np.array(
             [
                 [wp * wp * s.s_a2, wp * ws * s.s_ab],
@@ -305,7 +295,6 @@ def adiabatic_eliminate(
         )
     if len(resonant) == 1:
         n = resonant[0]
-        s = s_sums(system, excluded=n)
         an = system.alphas[n]
         bn = system.betas[n]
         return np.array(
@@ -340,11 +329,11 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
     problem whose exponent scales with (omega0*T)^2 * xi.  Larger xi means
     the adiabatic limit is reached at smaller pulse areas.  The estimate is
     rough by construction; use it for ordering, not absolute probabilities.
-    A resonant system has no detuning sums and raises NoCrossing too.
+    A resonant system has no off-resonant crossing and raises NoCrossing too.
     """
     if system.resonant_indices():
         raise NoCrossing("resonant state present")
-    s = s_sums(system)
+    s = system.sums
     if not s.crossing():
         raise NoCrossing("effective detuning does not cross zero")
     T = pulses.width

@@ -62,6 +62,8 @@ class ScanSpec:
             raise ValueError("scan endpoints must be finite")
         if self.start == self.stop:
             raise ValueError("scan endpoints must differ")
+        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
+            raise ValueError("scan points must be an integer")
         if self.points < 2:
             raise ValueError("scan needs points >= 2")
         if self.log_scale and (self.start <= 0 or self.stop <= 0):
@@ -172,7 +174,7 @@ def _read_sections(text: str, source: str) -> dict[str, dict[str, object]]:
 def _build(cls, section: str, values: dict[str, object]):
     """``cls(**values)``; a missing key or a refused value is a ValidationError."""
     for f in fields(cls):
-        if f.default is MISSING and f.name not in values:
+        if f.init and f.default is MISSING and f.name not in values:
             raise ValidationError(f"[{section}] needs key {f.name!r}")
     try:
         return cls(**values)

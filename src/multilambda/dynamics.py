@@ -40,6 +40,7 @@ from .errors import (
     PreconditionViolated,
     ToleranceNotMet,
     ValidationError,
+    ZeroDetuningInSum,
 )
 from .model import (
     MultiLambdaSystem,
@@ -47,7 +48,6 @@ from .model import (
     StateVector,
     build_hamiltonian,
     gaussian_envelopes,
-    s_sums,
 )
 
 __all__ = [
@@ -193,6 +193,9 @@ class IntegratorConfig:
             raise ValueError("t_start must precede t_end")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
+        every = self.store_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
+            raise ValueError("store_every must be an integer")
         if self.store_every < 1:
             raise ValueError("store_every must be at least 1")
 
@@ -453,8 +456,9 @@ def propagate_batch(
 
     def finish(b: int) -> None:
         p = int(idx[b])
-        times[p].append(float(t[b]))
-        states[p].append(y[b].copy())
+        if times[p][-1] != t[b]:  # a step may have stored the end already
+            times[p].append(float(t[b]))
+            states[p].append(y[b].copy())
         final_norm_error = abs(float(np.linalg.norm(y[b])) - 1.0)
         if final_norm_error > _NORM_BUDGET:
             failures[p] = NormDriftExceeded(f"final norm drift {final_norm_error:.3e}")
@@ -514,13 +518,12 @@ def propagate_batch(
             s5, s3 = np.add.reduce(np.abs(e53) ** 2, axis=-1)
             err = h * s5 / np.sqrt(np.fmax(s5 + 0.01 * s3, _TINY) * y.shape[1])
 
-            # err == 0 clips to the largest growth factor; no growth right
-            # after a rejection.
+            # err == 0 clips to the largest growth factor, NaN to the largest
+            # shrink; no growth right after a rejection.
             accepted = err <= 1.0
             every = bool(accepted.all())
             t_next = np.where(last, t1, t + h) if any_last else t + h
-            fac8 = err**_EXPO
-            fac = np.minimum(np.maximum(fac8 / _SAFETY, _FAC_LO), _FAC_HI)
+            fac = np.fmin(np.maximum(err**_EXPO / _SAFETY, _FAC_LO), _FAC_HI)
             h_next = h / fac
             if rejected_before:
                 h_next = np.where(just_rejected, np.minimum(h_next, h), h_next)
@@ -532,7 +535,6 @@ def propagate_batch(
                 h_hi = np.maximum(h_hi, h)
                 if rejected_before:
                     just_rejected = np.zeros(idx.size, dtype=bool)
-                h = h_next
             else:
                 col = accepted[:, None]
                 t = np.where(accepted, t_next, t)
@@ -543,7 +545,7 @@ def propagate_batch(
                 h_lo = np.where(accepted, np.minimum(h_lo, h), h_lo)
                 h_hi = np.where(accepted, np.maximum(h_hi, h), h_hi)
                 just_rejected = ~accepted
-                h = np.where(accepted, h_next, h / np.fmin(_FAC_HI, fac8 / _SAFETY))
+            h = h_next
             rejected_before = not every
 
             # Audits of the accepted steps: norm budget, intermediate
@@ -621,10 +623,12 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
     """
     from scipy.integrate import quad  # SciPy's import cost is paid only here
 
-    s = s_sums(system)  # raises ZeroDetuningInSum for resonant systems
+    resonant = system.resonant_indices()
+    if resonant:
+        raise ZeroDetuningInSum(f"detuning of intermediate state {resonant[0]} is exactly zero")
     if not system.is_proportional():
         raise PreconditionViolated("couplings must be proportional")
-    if not s.all_zero():
+    if not system.sums.all_zero():
         raise PreconditionViolated("all detuning sums must vanish")
     q = sum(a * a / (d * d) for a, d in zip(system.alphas, system.detunings))
     lo, hi = pulses.default_window()

@@ -32,7 +32,6 @@ __all__ = [
     "SSums",
     "build_hamiltonian",
     "gaussian_envelopes",
-    "s_sums",
     "det_closed_form",
     "dark_state",
     "zero_eigvec_amplitudes",
@@ -108,12 +107,18 @@ class MultiLambdaSystem:
     normalization fixes ``alphas[0] == betas[0] == 1``; systems produced by
     degenerate-manifold reduction carry a rescaled first coupling, and those
     are built with ``enforce_normalization=False``.
+
+    ``sums`` holds the detuning sums over the states with nonzero detuning:
+    over all states off resonance, and without the resonant state n when n
+    is the one resonance, as the single-resonance formulas take them.  It is
+    computed at construction and ignored by equality, hashing and ``repr``.
     """
 
     alphas: tuple[float, ...]
     betas: tuple[float, ...]
     detunings: tuple[float, ...]
     enforce_normalization: bool = field(default=True, repr=False, compare=False, kw_only=True)
+    sums: SSums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alphas = tuple(float(a) for a in self.alphas)
@@ -133,8 +138,10 @@ class MultiLambdaSystem:
             raise ValueError("coupling weights must be positive")
         if self.enforce_normalization and (alphas[0] != 1.0 or betas[0] != 1.0):
             raise ValueError("first coupling pair must be normalized to 1")
-        if not SSums.over([t for t in zip(alphas, betas, detunings) if t[2] != 0.0]).is_finite():
+        sums = SSums.over([t for t in zip(alphas, betas, detunings) if t[2] != 0.0])
+        if not sums.is_finite():
             raise ValueError("detuning sums over the nonzero detunings must be finite")
+        object.__setattr__(self, "sums", sums)
 
     @property
     def n_intermediate(self) -> int:
@@ -210,8 +217,9 @@ class SSums:
     ``s_ab`` sums alpha_k*beta_k/delta_k.  The ``*_scale`` fields hold the
     corresponding sums of term magnitudes, and ``terms`` the
     ``(alpha_k, beta_k, delta_k)`` summed over.  Every test that a sum, the
-    residual or the bracket vanishes is made here, relative to the sum of its
-    terms' magnitudes, so no verdict depends on the detuning scale.
+    residual, the bracket or the product S_a2 S_b2 vanishes is made here,
+    relative to the sum of its terms' magnitudes, so no verdict depends on
+    the detuning scale.  A system's own sums are ``MultiLambdaSystem.sums``.
     """
 
     s_a2: float
@@ -302,21 +310,11 @@ class SSums:
         """
         return not self.a2_is_zero() and not self.b2_is_zero() and self.s_a2 * self.s_b2 > 0
 
-
-def s_sums(system: MultiLambdaSystem, excluded: int | None = None) -> SSums:
-    """Compute the three detuning sums, optionally omitting one state.
-
-    Raises ZeroDetuningInSum when a contributing detuning is exactly zero;
-    resonant states must be excluded explicitly.
-    """
-    for k, d in enumerate(system.detunings):
-        if d == 0.0 and k != excluded:
-            raise ZeroDetuningInSum(
-                f"detuning of intermediate state {k} is exactly zero; "
-                "exclude it or use the resonant formulas"
-            )
-    terms = zip(system.alphas, system.betas, system.detunings)
-    return SSums.over([t for k, t in enumerate(terms) if k != excluded])
+    def crossing_is_marginal(self) -> bool:
+        """S_a2 S_b2 is too close to zero for the sign behind :meth:`crossing`
+        to be trusted: the system sits on an existence-window boundary.
+        """
+        return abs(self.s_a2 * self.s_b2) < _ZERO_RTOL * self.s_a2_scale * self.s_b2_scale
 
 
 def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray:

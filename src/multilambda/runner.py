@@ -147,13 +147,11 @@ def format_csv(rows: list[ScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sums_lines(outcome: AtClassification) -> list[str]:
-    s = outcome.s_sums
-    if s is None:
-        return ["detuning sums: undefined (resonant state present)"]
-    return [
-        f"detuning sums: pump {s.s_a2:.6g}, stokes {s.s_b2:.6g}, cross {s.s_ab:.6g}",
-    ]
+def _sums_line(system: MultiLambdaSystem) -> str:
+    if system.resonant_indices():
+        return "detuning sums: undefined (resonant state present)"
+    s = system.sums
+    return f"detuning sums: pump {s.s_a2:.6g}, stokes {s.s_b2:.6g}, cross {s.s_ab:.6g}"
 
 
 def _at_line(outcome: AtClassification) -> str:
@@ -176,7 +174,7 @@ def report_text(cfg: RunConfig) -> str:
         f"pulses: peak {pulses.omega0:.6g}, width {pulses.width:.6g},"
         f" delay {pulses.delay:.6g} (stokes first)",
         f"regime: {outcome.regime.value}",
-        *_sums_lines(outcome),
+        _sums_line(system),
         f"zero eigenvalue: {outcome.zero_eigenvalue.value}",
         _at_line(outcome),
     ]

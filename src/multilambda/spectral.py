@@ -63,7 +63,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AmbiguousTracking, DegenerateSums, NonSymmetricInput, WrongResonanceCount
-from .model import MultiLambdaSystem, PulsePair, build_hamiltonian, s_sums
+from .model import MultiLambdaSystem, PulsePair, build_hamiltonian
 
 _log = logging.getLogger(__name__)
 
@@ -371,8 +371,8 @@ def asymptotic_eigenvalues(
     resonant = system.resonant_indices()
     if len(resonant) > 1:
         raise WrongResonanceCount("asymptotics handle zero or one resonant state")
+    s = system.sums
     if not resonant:
-        s = s_sums(system)
         res = s.residual()
         if side is Side.EARLY:
             if s.b2_is_zero():
@@ -385,7 +385,7 @@ def asymptotic_eigenvalues(
         return AsymptoticEigenvalues(side, -res / s.s_a2 * omega_s**2, (-s.s_a2 * omega_p**2,))
     n = resonant[0]
     an, bn = system.alphas[n], system.betas[n]
-    bracket = s_sums(system, excluded=n).bracket(an, bn)
+    bracket = s.bracket(an, bn)
     if side is Side.EARLY:
         return AsymptoticEigenvalues(
             side,

@@ -24,7 +24,6 @@ from multilambda import (
     propagate,
     propagate_batch,
     reduce_degenerate,
-    s_sums,
 )
 
 from cases import (
@@ -87,6 +86,8 @@ CLASSIFICATION_TABLE = [
      AtState.NOT_EXISTS, "resonant-subspace-not-proportional"),
     (NEAR_RES, Regime.OFF_RESONANT, ZeroEigenvalue.NONE, AtState.EXISTS_GENERAL,
      "detuning-sums-same-sign"),
+    (MultiLambdaSystem((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 0, 1)), Regime.DEGENERATE_RESONANT,
+     ZeroEigenvalue.STRUCTURAL, AtState.EXISTS_DARK, "proportional-dark-state"),
 ]
 
 
@@ -100,13 +101,9 @@ class TestClassification:
         assert out.reason == reason
 
     def test_off_resonant_carries_sums(self):
-        out = classify(LINKED)
-        assert out.s_sums is not None
-        assert out.s_sums.s_a2 == pytest.approx(14 / 3)
-        assert out.resonant == ()
-        out_res = classify(RES_DARK)
-        assert out_res.s_sums is None
-        assert out_res.resonant == (0,)
+        assert classify(LINKED).regime is Regime.OFF_RESONANT
+        assert LINKED.sums.s_a2 == pytest.approx(14 / 3)
+        assert LINKED.resonant_indices() == ()
 
     def test_invariant_under_detuning_scale(self):
         # all predicates are relative, so scaling every detuning by a common
@@ -160,7 +157,7 @@ class TestConsistencyWithPropagation:
             be = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
             de = rng.uniform(0.3, 3.0, n) * rng.choice([-1.0, 1.0], n)
             system = MultiLambdaSystem(tuple(al), tuple(be), tuple(de))
-            s = s_sums(system)
+            s = system.sums
             if abs(s.s_a2) < 0.05 * s.s_a2_scale or abs(s.s_b2) < 0.05 * s.s_b2_scale:
                 skipped += 1
                 continue
@@ -193,7 +190,7 @@ class TestTransferRule:
         be = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
         de = rng.uniform(0.3, 3.0, n) * rng.choice([-1.0, 1.0], n)
         system = MultiLambdaSystem(tuple(al), tuple(be), tuple(de))
-        crossing = s_sums(system).crossing()
+        crossing = system.sums.crossing()
         assert (classify(system).at_state is AtState.NOT_EXISTS) == (not crossing)
         if crossing:
             lz_estimate(system, pulses(20.0))
@@ -350,7 +347,7 @@ class TestReduction:
 class TestEffectiveModels:
     def test_two_state_functions(self):
         pul = pulses(30.0)
-        s = s_sums(LINKED)
+        s = LINKED.sums
         for t in (-20.0, 0.0, 10.0):
             wp, ws = pul.values(t)
             h = adiabatic_eliminate(LINKED, pul, t)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -124,8 +125,12 @@ class TestParseErrors:
             parse_config("alphas = 1\n")
 
     def test_bad_number(self):
-        with pytest.raises(ParseError):
-            parse_config("[system]\nalphas = zebra\nbetas = 1\ndetunings = 1\n")
+        # a value its key's parser refuses is a ParseError carrying its line
+        for text, line in (("[system]\nalphas = zebra\nbetas = 1\ndetunings = 1\n", 2),
+                           ("[system]\nalphas = 1\n[scan]\nlog_scale = maybe\n", 4)):
+            with pytest.raises(ParseError) as err:
+                parse_config(text)
+            assert err.value.line == line
 
     def test_missing_equals(self):
         with pytest.raises(ParseError):
@@ -205,6 +210,10 @@ class TestScanSpec:
     def test_rules(self):
         with pytest.raises(ValueError, match="points"):
             ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=1)
+        for bad in (3.0, 2.5, True, "5"):
+            with pytest.raises(ValueError, match="integer"):
+                ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=bad)
+        assert ScanSpec(ScanAxis.COMMON_DETUNING, -1.0, 1.0, np.int32(3)).values().size == 3
         with pytest.raises(ValueError, match="log-scale"):
             ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=5, log_scale=True)
         with pytest.raises(ValueError, match="widths"):

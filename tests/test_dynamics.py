@@ -12,6 +12,7 @@ from multilambda import (
     StateVector,
     ToleranceNotMet,
     ValidationError,
+    ZeroDetuningInSum,
     ZeroEigenvalue,
     build_hamiltonian,
     classify,
@@ -32,6 +33,7 @@ from cases import (
     NON_FINITE,
     PEAK_MID_W30,
     PF_PREDICTION_DOUBLE_ZERO,
+    RES_DARK,
     RES_GENERAL,
     SCAN_BASE,
     TRANSFER,
@@ -110,6 +112,18 @@ class TestPropagation:
         res = propagate(LINKED, pulses(30.0), IntegratorConfig(t_start=-50.0, t_end=50.0))
         assert res.time_grid[0] == -50.0
         assert res.time_grid[-1] == 50.0
+
+    def test_window_end_one_ulp_past_a_node(self):
+        # the step to the node is not the last one, and the residual 1 ulp
+        # is below time resolution, so the point finishes at that node
+        pul = pulses(30.0)
+        node = propagate(LINKED, pul, IntegratorConfig(
+            store_every=1, t_start=-135.0, t_end=135.0)).time_grid[275]
+        res = propagate(LINKED, pul, IntegratorConfig(
+            store_every=1, t_start=-135.0, t_end=float(np.nextafter(node, np.inf))))
+        assert res.time_grid[-1] == node
+        assert np.all(np.diff(res.time_grid) > 0)
+        assert res.time_grid.size == res.n_accepted + 1 == res.trajectory.shape[0]
 
     def test_custom_initial_state(self):
         pul = pulses(30.0)
@@ -287,6 +301,10 @@ class TestFailureModes:
             IntegratorConfig(max_step=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(store_every=0)
+        for bad in (2.5, 3.0, True, "5", None):
+            with pytest.raises(ValueError, match="integer"):
+                IntegratorConfig(store_every=bad)
+        assert IntegratorConfig(store_every=np.int64(3)).store_every == 3
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "t_start", "t_end", "max_step"])
@@ -325,6 +343,8 @@ class TestDegeneratePrediction:
             pf_degenerate_prediction(DARK3, pul)  # sums do not vanish
         with pytest.raises(PreconditionViolated):
             pf_degenerate_prediction(BLOCKED, pul)  # not proportional
+        with pytest.raises(ZeroDetuningInSum):
+            pf_degenerate_prediction(RES_DARK, pul)  # divides by the resonant detuning
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e10])
     @pytest.mark.parametrize("system", [DARK3, DOUBLE_ZERO], ids=["dark3", "double_zero"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,12 @@ from multilambda import (
     BothEnvelopesZero,
     MultiLambdaSystem,
     PulsePair,
+    SSums,
     StateVector,
     ZeroDetuningInSum,
     build_hamiltonian,
     dark_state,
     det_closed_form,
-    s_sums,
     zero_eigvec_amplitudes,
 )
 
@@ -116,7 +117,7 @@ class TestSystem:
 
     def test_tiny_finite_detuning_sums_accepted(self):
         system = MultiLambdaSystem((1, 1), (1, 2), (1e-300, 1.5))
-        assert math.isfinite(s_sums(system).residual())
+        assert math.isfinite(system.sums.residual())
 
     def test_resonance_detection_is_exact(self):
         assert RES_DARK.resonant_indices() == (0,)
@@ -191,7 +192,7 @@ class TestHamiltonian:
 
 class TestSums:
     def test_linked_sums_by_hand(self):
-        s = s_sums(LINKED)
+        s = LINKED.sums
         assert s.s_a2 == pytest.approx(14 / 3, rel=1e-15)
         assert s.s_b2 == pytest.approx(13 / 6, rel=1e-15)
         assert s.s_ab == pytest.approx(8 / 3, rel=1e-15)
@@ -200,33 +201,44 @@ class TestSums:
         assert not (s.a2_is_zero() or s.b2_is_zero() or s.ab_is_zero())
 
     def test_cancellation_tracked_by_scale(self):
-        s = s_sums(BROKEN)
+        s = BROKEN.sums
         assert s.s_ab == pytest.approx(0.0, abs=1e-15)
         assert s.s_ab_scale == pytest.approx(4.0)
         assert s.ab_is_zero()
 
     def test_exclusion(self):
-        s = s_sums(RES_DARK, excluded=0)
+        s = RES_DARK.sums
         assert s.s_a2 == pytest.approx(0.25)
         assert s.s_b2 == pytest.approx(0.25)
 
-    def test_resonant_term_refused(self):
-        with pytest.raises(ZeroDetuningInSum):
-            s_sums(RES_DARK)
+    def test_resonant_term_left_out(self):
+        # the sums of a single resonance run over the off-resonant states only
+        terms = tuple(zip(RES_DARK.alphas, RES_DARK.betas, RES_DARK.detunings))[1:]
+        assert RES_DARK.sums == SSums.over(terms)
+
+    def test_sums_follow_the_fields(self):
+        shifted = dataclasses.replace(LINKED, detunings=(1.0, 2.0))
+        assert shifted.sums == SSums.over(((1.0, 1.0, 1.0), (2.0, 0.5, 2.0)))
+        # equality, hashing and repr see the fields only
+        same = MultiLambdaSystem(LINKED.alphas, LINKED.betas, LINKED.detunings)
+        object.__setattr__(same, "sums", BROKEN.sums)
+        assert same == LINKED
+        assert hash(same) == hash(LINKED)
+        assert "sums" not in repr(LINKED)
 
     def test_residual_and_bracket_values(self):
         # 14/3 * 13/6 - (8/3)^2 = 3 by hand, and (1*0.5 - 2*1)^2/(0.5*1.5) = 3
         # as the one pair term
-        s = s_sums(LINKED)
+        s = LINKED.sums
         assert s.residual() == pytest.approx(3.0, rel=1e-15)
         assert not s.residual_is_zero()
-        assert s_sums(TRANSFER).residual_is_zero()
+        assert TRANSFER.sums.residual_is_zero()
         # one state: no pairs, so the residual is exactly zero (dark state)
-        assert s_sums(MultiLambdaSystem((1,), (1,), (0.7,))).residual() == 0.0
-        dark = s_sums(RES_DARK, excluded=0)
+        assert MultiLambdaSystem((1,), (1,), (0.7,)).sums.residual() == 0.0
+        dark = RES_DARK.sums
         assert dark.bracket(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
         assert dark.bracket_is_zero(1.0, 1.0)
-        general = s_sums(RES_GENERAL, excluded=0)
+        general = RES_GENERAL.sums
         assert general.bracket(1.0, 1.0) == pytest.approx(2.25, rel=1e-15)
         assert not general.bracket_is_zero(1.0, 1.0)
 
@@ -235,7 +247,7 @@ class TestDeterminants:
     def test_dual_routes_agree_offres(self):
         # the paper's sum form: omega_p^2 omega_s^2 prod Delta (S_a2 S_b2 - S_ab^2)
         for sys_ in (LINKED, BROKEN, DARK3, TRANSFER):
-            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings) * s_sums(sys_).residual()
+            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings) * sys_.sums.residual()
             b = det_closed_form(sys_, 0.7, 0.4)
             nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
             assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
@@ -244,7 +256,7 @@ class TestDeterminants:
     def test_dual_routes_agree_single_res(self):
         # the paper's sum form with state 0 resonant: the bracket over the rest
         for sys_ in (RES_DARK, RES_GENERAL):
-            bracket = s_sums(sys_, excluded=0).bracket(sys_.alphas[0], sys_.betas[0])
+            bracket = sys_.sums.bracket(sys_.alphas[0], sys_.betas[0])
             a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings[1:]) * bracket
             b = det_closed_form(sys_, 0.7, 0.4)
             nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
@@ -337,7 +349,7 @@ class TestNullVectors:
         # TRANSFER satisfies the zero-eigenvalue condition; extending the
         # closed-form end-state pair must give an exact null vector.
         pul = pulses(30.0)
-        s = s_sums(TRANSFER)
+        s = TRANSFER.sums
         for t in (-10.0, 0.0, 5.0):
             wp, ws = pul.values(t)
             v = zero_eigvec_amplitudes(TRANSFER, pul, t, s.s_ab * ws, -s.s_a2 * wp)
@@ -348,3 +360,7 @@ class TestNullVectors:
     def test_extension_needs_nonzero_detunings(self):
         with pytest.raises(ZeroDetuningInSum):
             zero_eigvec_amplitudes(RES_DARK, pulses(30.0), 0.0, 1.0, 0.0)
+
+    def test_extension_needs_nonzero_end_amplitudes(self):
+        with pytest.raises(ValueError, match="empty vector"):
+            zero_eigvec_amplitudes(TRANSFER, pulses(30.0), 0.0, 0.0, 0.0)

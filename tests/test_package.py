@@ -32,13 +32,15 @@ EARLIER_NAMES = {
 # two-state model (``adiabatic_eliminate``), the one-member pulse-shape enum,
 # the per-snapshot record (one row of ``track_spectrum``'s stacked result) and
 # the per-regime tail asymptotics with their resonance-index check
-# (``asymptotic_eigenvalues``, which reads the resonance from the system).
+# (``asymptotic_eigenvalues``, which reads the resonance from the system) and
+# the detuning sums built per call (``MultiLambdaSystem.sums``).
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
     "effective_two_state", "PulseShape", "det_offres_sum_form",
     "det_single_res_sum_form", "det_pair_form", "SpectralSnapshot",
     "asymptotic_eigenvalues_offres", "asymptotic_eigenvalues_res", "NotSingleResonance",
+    "s_sums",
 }
 
 
