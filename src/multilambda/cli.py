@@ -31,8 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="split the scan points into this many contiguous batches, one"
-        " worker process each (default 1)",
+        choices=[1],
+        help="accepted for compatibility and must be 1: a scan runs as one batch"
+        " in one process; the option stays until bench/ stops passing it",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress chatter")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,15 +71,15 @@ def _write(text: str, path: Path | None, quiet: bool, note: str) -> None:
         print(f"wrote {note}")
 
 
-def _cmd_scan(cfg: RunConfig, threads: int, quiet: bool) -> list[ScanRow]:
-    rows = run_scan(cfg, threads=threads)
+def _cmd_scan(cfg: RunConfig, quiet: bool) -> list[ScanRow]:
+    rows = run_scan(cfg)
     count = "1 row" if len(rows) == 1 else f"{len(rows)} row(s)"
     _write(format_csv(rows), cfg.output.csv_path, quiet, f"{count} to {cfg.output.csv_path}")
     return rows
 
 
 def _cmd_simulate(cfg: RunConfig, quiet: bool) -> None:
-    row = _cmd_scan(replace(cfg, scan=None), 1, quiet)[0]
+    row = _cmd_scan(replace(cfg, scan=None), quiet)[0]
     if not quiet:
         print(
             f"final population {row.pf:.9g},"
@@ -99,9 +100,6 @@ def _cmd_preset(name: str, out_dir: str, quiet: bool) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: config: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         if args.command == "preset":
             _cmd_preset(args.name, args.out, args.quiet)
@@ -110,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             _cmd_simulate(cfg, args.quiet)
         elif args.command == "scan":
-            _cmd_scan(cfg, args.threads, args.quiet)
+            _cmd_scan(cfg, args.quiet)
         else:
             path = cfg.output.report_path
             _write(report_text(cfg), path, args.quiet, f"report to {path}")

@@ -203,6 +203,8 @@ class IntegratorConfig:
         lo, hi = pulses.default_window()
         t0 = self.t_start if self.t_start is not None else lo
         t1 = self.t_end if self.t_end is not None else hi
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValidationError(f"propagation window [{t0:g}, {t1:g}] is not finite")
         if t0 >= t1:
             raise ValidationError(f"propagation window [{t0:g}, {t1:g}] is empty")
         return t0, t1
@@ -435,6 +437,9 @@ def propagate_batch(
 
     size = len(points)
     idx = np.arange(size)
+    # Clipped to the step counter's dtype so the modulo cannot overflow; no
+    # step count reaches the clipped value either.
+    store_every = min(cfg.store_every, np.iinfo(int).max)
     k0 = _rhs(_generators(t[:, None], *consts)[0], y)
     just_rejected = np.zeros(size, dtype=bool)
     n_acc = np.zeros(size, dtype=int)
@@ -554,7 +559,7 @@ def propagate_batch(
             total = np.add.reduce(pops, axis=-1)
             mid = total - pops[:, 0] - pops[:, -1]
             drift = np.abs(np.sqrt(total) - 1.0)
-            stored = n_acc % cfg.store_every == 0
+            stored = n_acc % store_every == 0
             drop = drift > _NORM_BUDGET
             better = mid > max_mid
             if not every:

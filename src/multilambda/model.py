@@ -214,12 +214,13 @@ class SSums:
     """Weighted detuning sums S_a2, S_b2, S_ab, and the one zero test on them.
 
     ``s_a2`` sums alpha_k^2/delta_k, ``s_b2`` sums beta_k^2/delta_k and
-    ``s_ab`` sums alpha_k*beta_k/delta_k.  The ``*_scale`` fields hold the
-    corresponding sums of term magnitudes, and ``terms`` the
-    ``(alpha_k, beta_k, delta_k)`` summed over.  Every test that a sum, the
-    residual, the bracket or the product S_a2 S_b2 vanishes is made here,
-    relative to the sum of its terms' magnitudes, so no verdict depends on
-    the detuning scale.  A system's own sums are ``MultiLambdaSystem.sums``.
+    ``s_ab`` sums alpha_k*beta_k/delta_k.  ``residual`` is
+    S_a2*S_b2 - S_ab^2; off resonance H has a zero eigenvalue iff it
+    vanishes.  The ``*_scale`` fields hold the corresponding sums of term
+    magnitudes.  Every test that a sum, the residual, the bracket or the
+    product S_a2 S_b2 vanishes is made here, relative to the sum of its
+    terms' magnitudes, so no verdict depends on the detuning scale.  A
+    system's own sums are ``MultiLambdaSystem.sums``.
     """
 
     s_a2: float
@@ -228,11 +229,19 @@ class SSums:
     s_a2_scale: float = 0.0
     s_b2_scale: float = 0.0
     s_ab_scale: float = 0.0
-    terms: tuple[tuple[float, float, float], ...] = ()
+    residual: float = 0.0
+    residual_scale: float = 0.0
 
     @classmethod
     def over(cls, terms) -> "SSums":
-        """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero."""
+        """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero.
+
+        The residual and its scale are sums over pairs k < l (Lagrange's
+        identity): (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l).  The
+        alpha_k^2 beta_k^2/delta_k^2 terms, which cancel exactly in the
+        product of sums, never appear, so a near-resonant delta_k costs no
+        precision.  Where delta_k delta_l underflows to zero both are NaN.
+        """
         sa = sb = sab = 0.0
         sa_m = sb_m = sab_m = 0.0
         for a, b, d in terms:
@@ -242,14 +251,21 @@ class SSums:
             sa_m += abs(a * a / d)
             sb_m += abs(b * b / d)
             sab_m += abs(a * b / d)
-        return cls(sa, sb, sab, sa_m, sb_m, sab_m, tuple(terms))
+        res = res_m = 0.0
+        try:
+            for k, (ak, bk, dk) in enumerate(terms):
+                for al, bl, dl in terms[k + 1 :]:
+                    minor = ak * bl - al * bk
+                    res += minor * minor / (dk * dl)
+                    bound = abs(ak * bl) + abs(al * bk)
+                    res_m += bound * bound / abs(dk * dl)
+        except ZeroDivisionError:
+            res = res_m = math.nan
+        return cls(sa, sb, sab, sa_m, sb_m, sab_m, res, res_m)
 
     def is_finite(self) -> bool:
         """Every term magnitude sum, the pair residual's included, is a finite float."""
-        try:  # delta_k * delta_l may underflow to zero
-            scales = (self.s_a2_scale, self.s_b2_scale, self.s_ab_scale, self._residual_terms()[1])
-        except ZeroDivisionError:
-            return False
+        scales = (self.s_a2_scale, self.s_b2_scale, self.s_ab_scale, self.residual_scale)
         return all(map(math.isfinite, scales))
 
     def a2_is_zero(self) -> bool:
@@ -265,28 +281,8 @@ class SSums:
         """All three sums vanish: the zero eigenvalue is twofold degenerate."""
         return self.a2_is_zero() and self.b2_is_zero() and self.ab_is_zero()
 
-    def _residual_terms(self) -> tuple[float, float]:
-        """Residual and zero-test scale as sums over pairs k < l (Lagrange's
-        identity): (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l).  The
-        alpha_k^2 beta_k^2/delta_k^2 terms, which cancel exactly in the product
-        of sums, never appear, so a near-resonant delta_k costs no precision.
-        """
-        value = scale = 0.0
-        for k, (ak, bk, dk) in enumerate(self.terms):
-            for al, bl, dl in self.terms[k + 1 :]:
-                minor = ak * bl - al * bk
-                value += minor * minor / (dk * dl)
-                bound = abs(ak * bl) + abs(al * bk)
-                scale += bound * bound / abs(dk * dl)
-        return value, scale
-
-    def residual(self) -> float:
-        """S_a2*S_b2 - S_ab^2; off resonance H has a zero eigenvalue iff it vanishes."""
-        return self._residual_terms()[0]
-
     def residual_is_zero(self) -> bool:
-        value, scale = self._residual_terms()
-        return abs(value) <= _ZERO_RTOL * scale
+        return abs(self.residual) <= _ZERO_RTOL * self.residual_scale
 
     def bracket(self, a: float, b: float) -> float:
         """a^2 S_b2 - 2ab S_ab + b^2 S_a2: with ``a``, ``b`` the couplings of the

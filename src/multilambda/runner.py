@@ -4,12 +4,10 @@ A scan point is a pure function of the configuration and the scan value.
 Each point is classified and given its Landau-Zener estimate on its own;
 then all points are propagated together by one batched call
 (:func:`~multilambda.dynamics.propagate_batch`), in which every point takes
-exactly the steps it would take alone.  ``threads > 1`` splits the points
-into that many contiguous chunks, at most one per CPU, and runs one batched
-call per chunk in a process pool; a point's row is the same either way, and
-assembly preserves the input order.  The ``seconds`` column is the point's
-own classification and estimate time plus an equal share of its batch's
-propagation time.
+exactly the steps it would take alone.  A scan is that one batch in one
+process, and its rows keep the order of the scan values.  The ``seconds``
+column is the point's own classification and estimate time plus an equal
+share of the batch's propagation time.
 CSV floats are printed with 9 significant digits, which round-trips the
 physics while keeping files byte-stable; the wall-time column is the one
 intentionally nondeterministic field.
@@ -17,12 +15,8 @@ intentionally nondeterministic field.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .analysis import AtClassification, LzEstimate, classify, lz_estimate, no_at_intervals
 from .config import RunConfig, ScanAxis
@@ -106,23 +100,11 @@ def evaluate_point(cfg: RunConfig, value: float | None) -> ScanRow:
     return _evaluate_chunk(cfg, [value])[0]
 
 
-def run_scan(cfg: RunConfig, threads: int = 1) -> list[ScanRow]:
-    """Evaluate every scan point (or the single configured run) in order.
-
-    With ``threads > 1`` the points are split into ``threads`` contiguous
-    chunks, but no more than there are points or CPUs, each propagated by
-    one batched call in its own process.
-    """
+def run_scan(cfg: RunConfig) -> list[ScanRow]:
+    """Evaluate every scan point (or the single configured run) in order."""
     if cfg.scan is None:
-        values: list[float | None] = [None]
-    else:
-        values = list(cfg.scan.values())
-    workers = min(threads, len(values), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_evaluate_chunk, [cfg] * workers, np.array_split(values, workers))
-            return [row for part in parts for row in part]
-    return _evaluate_chunk(cfg, values)
+        return _evaluate_chunk(cfg, [None])
+    return _evaluate_chunk(cfg, list(cfg.scan.values()))
 
 
 def _fmt(value: float | None) -> str:

@@ -373,7 +373,7 @@ def asymptotic_eigenvalues(
         raise WrongResonanceCount("asymptotics handle zero or one resonant state")
     s = system.sums
     if not resonant:
-        res = s.residual()
+        res = s.residual
         if side is Side.EARLY:
             if s.b2_is_zero():
                 raise DegenerateSums("S_b2 vanishes; early asymptotics undefined")

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multilambda import (
@@ -24,6 +24,7 @@ from multilambda import (
     propagate,
     propagate_batch,
     reduce_degenerate,
+    track_spectrum,
 )
 
 from cases import (
@@ -177,6 +178,46 @@ class TestConsistencyWithPropagation:
                     assert pf > 0.8, f"{system}: verdict exists but pf={pf:.4f}"
         assert checked >= 40
         assert skipped <= 10
+
+
+class TestConsistencyWithSpectrum:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=5), seed=st.integers(0, 2**32 - 1))
+    @example(n=5, seed=333)  # its 2001-point grid steps over an avoided crossing
+    def test_tracked_transfer_curve_matches_verdict(self, n, seed):
+        # The paper's transfer state is the adiabatic curve from |i> to |f>:
+        # the tracked curve that starts on |i> must end with |<f|v>|^2 above
+        # 0.5 exactly when classify says a transfer state exists.  The grid,
+        # +-2 widths, stops short of the tails where |i> and |f> share the
+        # zero eigenvalue.  Within 5% (relative) of a window boundary the
+        # curves have not settled by its ends, so such systems are redrawn.
+        rng = np.random.default_rng(seed)
+        system = MultiLambdaSystem(
+            tuple(rng.uniform(0.3, 2.0, n)),
+            tuple(rng.uniform(0.3, 2.0, n)),
+            tuple(rng.uniform(-3.0, 3.0, n)),
+            enforce_normalization=False,
+        )
+        s = system.sums
+        assume(abs(s.s_a2) > 0.05 * s.s_a2_scale and abs(s.s_b2) > 0.05 * s.s_b2_scale)
+        out = classify(system)
+        assume(out.reason != "marginal")
+        assume(out.zero_eigenvalue not in (ZeroEigenvalue.DOUBLE, ZeroEigenvalue.STRUCTURAL))
+        grid = np.linspace(-60.0, 60.0, 2001)
+        for _ in range(3):
+            spec = track_spectrum(system, pulses(30.0), grid)  # AmbiguousTracking fails
+            start = int(np.argmax(np.abs(spec.eigenvectors[0][0])))
+            rank = np.argmax(spec.track_ids == spec.track_ids[0][start], axis=1)
+            jumps = np.flatnonzero(np.diff(rank))
+            if not jumps.size:
+                break
+            # Adiabatic curves keep their rank: the grid stepped over an
+            # avoided crossing narrower than its spacing, so refine there.
+            grid = np.union1d(grid, np.linspace(grid[jumps], grid[jumps + 1], 66).ravel())
+        assert not jumps.size, f"{system}: unresolved crossings at t={spec.t[jumps]}"
+        end = spec.eigenvectors[-1][-1, rank[-1]] ** 2
+        exists = out.at_state is not AtState.NOT_EXISTS
+        assert (end > 0.5) == exists, f"{system}: verdict {out.at_state.value}, |<f|v>|^2={end:.4f}"
 
 
 class TestTransferRule:

@@ -96,6 +96,17 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_multiprocessing_out(tmp_path):
+    proc = run_python(
+        "-c",
+        "import sys, multilambda.cli;"
+        " print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def strip_seconds(csv_text: str) -> list[str]:
     return [",".join(line.split(",")[:5]) for line in csv_text.strip().splitlines()]
 
@@ -124,6 +135,18 @@ class TestSimulate:
         assert content.splitlines()[0] == CSV_HEADER
         assert "\r" not in content
 
+    def test_huge_store_every_gives_the_default_row(self, tmp_path):
+        # n_acc % store_every once overflowed int64: a traceback and exit 1
+        (tmp_path / "run.conf").write_text(SINGLE_RUN)
+        (tmp_path / "huge.conf").write_text(
+            SINGLE_RUN + "\n[integrator]\nstore_every = 100000000000000000000000\n"
+        )
+        default = run_cli("--quiet", "simulate", "run.conf", cwd=tmp_path)
+        huge = run_cli("--quiet", "simulate", "huge.conf", cwd=tmp_path)
+        assert huge.returncode == 0, huge.stderr
+        assert strip_seconds(huge.stdout) == strip_seconds(default.stdout)
+        assert len(strip_seconds(huge.stdout)) == 2
+
 
 class TestScan:
     def test_deterministic_apart_from_timing(self, tmp_path):
@@ -136,27 +159,8 @@ class TestScan:
         assert strip_seconds(a) == strip_seconds(b)
         assert len(strip_seconds(a)) == 4  # header + 3 points
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        (tmp_path / "scan.conf").write_text(SMALL_SCAN + "\n[output]\ncsv = serial.csv\n")
-        assert run_cli("scan", "scan.conf", cwd=tmp_path).returncode == 0
-        (tmp_path / "scan2.conf").write_text(SMALL_SCAN + "\n[output]\ncsv = pool.csv\n")
-        assert run_cli("--threads", "2", "scan", "scan2.conf", cwd=tmp_path).returncode == 0
-        assert strip_seconds((tmp_path / "serial.csv").read_text()) == strip_seconds(
-            (tmp_path / "pool.csv").read_text()
-        )
-
-
-    def test_three_chunks_match_serial(self, tmp_path):
-        seven = SMALL_SCAN.replace("points = 3", "points = 7")
-        (tmp_path / "scan.conf").write_text(seven + "\n[output]\ncsv = serial.csv\n")
-        assert run_cli("scan", "scan.conf", cwd=tmp_path).returncode == 0
-        (tmp_path / "scan2.conf").write_text(seven + "\n[output]\ncsv = pool.csv\n")
-        assert run_cli("--threads", "3", "scan", "scan2.conf", cwd=tmp_path).returncode == 0
-        serial = strip_seconds((tmp_path / "serial.csv").read_text())
-        assert len(serial) == 8  # header + 7 points
-        assert serial == strip_seconds((tmp_path / "pool.csv").read_text())
-
-    @pytest.mark.parametrize("threads", ["1", "3"])
+    # ``--threads 1`` is the one accepted value, kept for compatibility
+    @pytest.mark.parametrize("threads", ["1"])
     def test_numeric_error_names_first_scan_value(self, tmp_path, threads):
         (tmp_path / "bad.conf").write_text(
             SMALL_SCAN + "\n[integrator]\nt_start = 0\nt_end = 1e16\n"
@@ -290,6 +294,21 @@ class TestExitCodes:
     def test_usage_error_is_2(self, tmp_path):
         proc = run_cli(cwd=tmp_path)
         assert proc.returncode == 2
+
+    def test_threads_other_than_one_is_2(self, tmp_path):
+        (tmp_path / "scan.conf").write_text(SMALL_SCAN)
+        for threads in ("2", "0"):
+            proc = run_cli("--threads", threads, "scan", "scan.conf", cwd=tmp_path)
+            assert proc.returncode == 2
+            assert "argument --threads: invalid choice" in proc.stderr
+            assert proc.stdout == ""
+
+    def test_overflowing_default_window_is_2(self, tmp_path):
+        # the window (-inf, inf) was once integrated: step size underflow, exit 3
+        (tmp_path / "bad.conf").write_text(SINGLE_RUN.replace("width = 10", "width = 1e308"))
+        proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: propagation window [-inf, inf]")
 
     @settings(max_examples=8, deadline=None)
     @given(text=mutated_presets(malformed=True))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -107,6 +109,18 @@ class TestPropagation:
         assert dense.final_pf == pytest.approx(sparse.final_pf, abs=1e-12)
         # every accepted step is stored in the dense run
         assert dense.time_grid.size == dense.n_accepted + 1
+
+    @pytest.mark.parametrize("huge", [2**63, 10**23])
+    def test_store_every_above_step_count(self, huge):
+        # n_acc % store_every once overflowed int64 here: OverflowError
+        pul = pulses(30.0)
+        res = propagate(LINKED, pul, IntegratorConfig(store_every=huge))
+        assert res.time_grid.size == 2
+        above = propagate(LINKED, pul, IntegratorConfig(store_every=res.n_accepted + 1))
+        assert np.array_equal(res.time_grid, above.time_grid)
+        assert np.array_equal(res.trajectory, above.trajectory)
+        assert res.max_intermediate_pop == above.max_intermediate_pop
+        assert (res.n_accepted, res.n_rejected) == (above.n_accepted, above.n_rejected)
 
     def test_custom_window(self):
         res = propagate(LINKED, pulses(30.0), IntegratorConfig(t_start=-50.0, t_end=50.0))
@@ -318,6 +332,16 @@ class TestFailureModes:
             IntegratorConfig(t_start=200.0).window(pulses(30.0))
         with pytest.raises(ValidationError, match=r"\[-135, -150\] is empty"):
             propagate(LINKED, pulses(30.0), IntegratorConfig(t_end=-150.0))
+
+    def test_overflowing_default_window_is_a_validation_error(self):
+        # 4 width + delay overflows: (-inf, inf) was once integrated and
+        # reported as a step size underflow
+        wide = pulses(1e308)
+        assert wide.default_window() == (-math.inf, math.inf)
+        with pytest.raises(ValidationError, match=r"\[-inf, inf\] is not finite"):
+            IntegratorConfig().window(wide)
+        with pytest.raises(ValidationError, match=r"\[0, inf\] is not finite"):
+            propagate(LINKED, wide, IntegratorConfig(t_start=0.0))
 
 
 class TestDegeneratePrediction:

@@ -117,7 +117,7 @@ class TestSystem:
 
     def test_tiny_finite_detuning_sums_accepted(self):
         system = MultiLambdaSystem((1, 1), (1, 2), (1e-300, 1.5))
-        assert math.isfinite(system.sums.residual())
+        assert math.isfinite(system.sums.residual)
 
     def test_resonance_detection_is_exact(self):
         assert RES_DARK.resonant_indices() == (0,)
@@ -230,11 +230,11 @@ class TestSums:
         # 14/3 * 13/6 - (8/3)^2 = 3 by hand, and (1*0.5 - 2*1)^2/(0.5*1.5) = 3
         # as the one pair term
         s = LINKED.sums
-        assert s.residual() == pytest.approx(3.0, rel=1e-15)
+        assert s.residual == pytest.approx(3.0, rel=1e-15)
         assert not s.residual_is_zero()
         assert TRANSFER.sums.residual_is_zero()
         # one state: no pairs, so the residual is exactly zero (dark state)
-        assert MultiLambdaSystem((1,), (1,), (0.7,)).sums.residual() == 0.0
+        assert MultiLambdaSystem((1,), (1,), (0.7,)).sums.residual == 0.0
         dark = RES_DARK.sums
         assert dark.bracket(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
         assert dark.bracket_is_zero(1.0, 1.0)
@@ -247,7 +247,7 @@ class TestDeterminants:
     def test_dual_routes_agree_offres(self):
         # the paper's sum form: omega_p^2 omega_s^2 prod Delta (S_a2 S_b2 - S_ab^2)
         for sys_ in (LINKED, BROKEN, DARK3, TRANSFER):
-            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings) * sys_.sums.residual()
+            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings) * sys_.sums.residual
             b = det_closed_form(sys_, 0.7, 0.4)
             nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
             assert a == pytest.approx(b, rel=1e-10, abs=1e-13)

@@ -1,12 +1,9 @@
-"""``run_scan`` in-process: the values it scans and the processes it starts."""
+"""``run_scan`` in-process: the values it scans and the order of its rows."""
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
-import pytest
 
-from multilambda import parse_config, run_scan, runner
+from multilambda import parse_config, run_scan
 
 WIDTH_SCAN = """\
 [system]
@@ -31,10 +28,6 @@ log_scale = {log_scale}
 """
 
 
-def _without_seconds(rows):
-    return [dataclasses.replace(row, seconds=0.0) for row in rows]
-
-
 def test_log_scale_width_scan():
     cfg = parse_config(WIDTH_SCAN.format(points=4, log_scale="true"))
     values = cfg.scan.values()
@@ -43,33 +36,3 @@ def test_log_scale_width_scan():
     rows = run_scan(cfg)
     assert [row.scan_value for row in rows] == values.tolist()
     assert all(0.0 <= row.pf <= 1.0 for row in rows)
-
-
-@pytest.mark.parametrize("cpus, pools", [(3, [3]), (8, [5]), (1, []), (None, [])])
-def test_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
-    # five points asked for on 500 threads: one chunk per CPU, never more
-    # chunks than points, and no pool at all when one chunk remains
-    cfg = parse_config(WIDTH_SCAN.format(points=5, log_scale="false"))
-    serial = run_scan(cfg)
-    started = []
-
-    class SerialPool:
-        """Records its ``max_workers`` and maps in this process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-    rows = run_scan(cfg, threads=500)
-    assert started == pools
-    assert _without_seconds(rows) == _without_seconds(serial)
