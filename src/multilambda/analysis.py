@@ -15,6 +15,7 @@ as off-resonant on purpose.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -307,6 +308,28 @@ def adiabatic_eliminate(
     raise WrongResonanceCount("elimination handles zero or one resonant state")
 
 
+_LN2 = math.log(2.0)
+_LN4 = math.log(4.0)
+_LN_PI = math.log(math.pi)
+_LN_MAX = math.log(sys.float_info.max)
+
+
+def _ln(x: float) -> float:
+    """log|x|, and -inf at zero."""
+    return math.log(abs(x)) if x else -math.inf
+
+
+def _ln_ratio(a: float, b: float) -> float:
+    """log(a/b) for nonzero a, b of one sign, also where a/b under- or overflows."""
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    return math.log(ma / mb) + (ea - eb) * _LN2
+
+
+def _exp(x: float) -> float:
+    """exp(x), and inf where math.exp would raise OverflowError."""
+    return math.exp(x) if x <= _LN_MAX else math.inf
+
+
 @dataclass(frozen=True)
 class LzEstimate:
     """Avoided-crossing adiabaticity estimate.
@@ -330,6 +353,8 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
     the adiabatic limit is reached at smaller pulse areas.  The estimate is
     rough by construction; use it for ordering, not absolute probabilities.
     A resonant system has no off-resonant crossing and raises NoCrossing too.
+    For every system and pulse pair the constructors accept, no field is
+    NaN, ``xi`` lies in [0, inf] and ``pf_estimate`` in [0, 1].
     """
     if system.resonant_indices():
         raise NoCrossing("resonant state present")
@@ -338,13 +363,16 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
         raise NoCrossing("effective detuning does not cross zero")
     T = pulses.width
     tau = pulses.delay
-    log_ratio = math.log(s.s_b2 / s.s_a2)
-    t_c = T * T / (8.0 * tau) * log_ratio
-    xi = (
-        (T / (4.0 * tau))
-        * (s.s_ab * s.s_ab / math.sqrt(s.s_a2 * s.s_b2))
-        * math.exp(-2.0 * tau * tau / (T * T) - T * T / (32.0 * tau * tau) * log_ratio**2)
+    log_ratio = _ln_ratio(s.s_b2, s.s_a2)
+    # With equal sums the crossing is at t = 0 however large T/tau is.
+    ql = T / tau * log_ratio if log_ratio else 0.0
+    r = tau / T
+    # xi in logarithms: the sums, T/tau and the pulse area may each under- or
+    # overflow where xi and the transfer estimate do not.
+    ln_xi = (
+        _ln_ratio(T, tau) - _LN4
+        + 2.0 * _ln(s.s_ab) - 0.5 * (_ln(s.s_a2) + _ln(s.s_b2))
+        - 2.0 * r * r - ql * ql / 32.0
     )
-    area = pulses.omega0 * T
-    pf = 1.0 - math.exp(-math.pi * area * area * xi)
-    return LzEstimate(t_c=t_c, xi=xi, pf_estimate=pf)
+    exponent = _exp(_LN_PI + 2.0 * (_ln(pulses.omega0) + math.log(T)) + ln_xi)
+    return LzEstimate(t_c=T * ql / 8.0, xi=_exp(ln_xi), pf_estimate=1.0 - math.exp(-exponent))

@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+# The most float64 values one NumPy array can describe; np.linspace refuses
+# more with "Maximum allowed size exceeded".
+_MAX_POINTS = np.iinfo(np.intp).max // 8
+
+
 class ScanAxis(Enum):
     PULSE_WIDTH = "pulse_width"
     COMMON_DETUNING = "common_detuning"
@@ -66,6 +71,8 @@ class ScanSpec:
             raise ValueError("scan points must be an integer")
         if self.points < 2:
             raise ValueError("scan needs points >= 2")
+        if self.points > _MAX_POINTS:
+            raise ValueError(f"scan points must be at most {_MAX_POINTS}")
         if self.log_scale and (self.start <= 0 or self.stop <= 0):
             raise ValueError("log-scale scan needs positive endpoints")
         if self.axis is ScanAxis.PULSE_WIDTH and (self.start <= 0 or self.stop <= 0):

@@ -7,9 +7,11 @@ combined 5th/3rd-order error estimate and a step-size controller of exponent
 renormalized: norm drift is a free accuracy monitor, and a run whose norm
 leaves the budget fails loudly instead of being patched up.
 
-One loop serves one point or many: a batch of B points of one dimension is
-advanced in lockstep as a ``(B, N+2)`` state, with the twelve stage
-generators -i H(t + c_i h) of a step built in one broadcast.  Each point
+A state is a plain complex array of N+2 amplitudes: the start given to
+:func:`propagate`, each row of a result's trajectory, and each row of the
+batch state.  One loop serves one point or many: a batch of B points of one
+dimension is advanced in lockstep as a ``(B, N+2)`` state, with the twelve
+stage generators -i H(t + c_i h) of a step built in one broadcast.  Each point
 keeps its own window, step size, controller state, audits and stored
 trajectory, and the stage and error sums are fixed-order elementwise
 operations, so a point takes exactly the steps it takes alone and its result
@@ -33,6 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import (
     NormDriftExceeded,
@@ -45,7 +48,6 @@ from .errors import (
 from .model import (
     MultiLambdaSystem,
     PulsePair,
-    StateVector,
     build_hamiltonian,
     gaussian_envelopes,
 )
@@ -214,7 +216,8 @@ class IntegratorConfig:
 class PropagationResult:
     """Stored trajectory of one propagation, with its step statistics.
 
-    ``trajectory[k]`` is the amplitude vector at ``time_grid[k]``.
+    ``trajectory[k]`` is the amplitude vector at ``time_grid[k]``, so
+    ``np.abs(trajectory) ** 2`` are the populations.
     ``max_intermediate_pop`` is the transient maximum of the intermediate
     population: the largest value of the 7th-order dense output on the two
     accepted steps around the best accepted node (sampled, then refined at a
@@ -236,10 +239,6 @@ class PropagationResult:
     n_rhs: int
     h_min: float
     h_max: float
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.abs(self.trajectory) ** 2
 
 
 # Stage times, as fractions of h, of the twelve stages evaluated per step and
@@ -361,26 +360,31 @@ def _refined_peak(
     return best
 
 
-def _initial_state(system: MultiLambdaSystem, initial: StateVector | None) -> np.ndarray:
+def _initial_state(system: MultiLambdaSystem, initial: ArrayLike | None) -> np.ndarray:
+    """A complex copy of ``initial``, or |i> when it is None."""
     if initial is None:
-        initial = StateVector.initial(system.n_intermediate)
-    if initial.amplitudes.size != system.dimension:
+        initial = np.eye(1, system.dimension)[0]
+    y = np.array(initial, dtype=complex)
+    if y.shape != (system.dimension,):
         raise ValueError("initial state dimension does not match the system")
-    if abs(initial.norm() - 1.0) > 1e-8:
+    if not np.isfinite(y).all():  # before the norm test, which NaN passes
+        raise ValueError("state vector amplitudes must be finite")
+    if abs(float(np.linalg.norm(y)) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    return initial.amplitudes.astype(complex, copy=True)
+    return y
 
 
 def propagate(
     system: MultiLambdaSystem,
     pulses: PulsePair,
     config: IntegratorConfig | None = None,
-    initial: StateVector | None = None,
+    initial: ArrayLike | None = None,
 ) -> PropagationResult:
     """Integrate the Schrodinger equation across the pulse sequence.
 
-    Starts from ``initial`` (default: all population in the initial state)
-    and returns the stored trajectory.  Raises ToleranceNotMet when the step
+    Starts from ``initial``, any array-like of N+2 normalized amplitudes
+    (default: all population in the initial state), and returns the stored
+    trajectory.  Raises ToleranceNotMet when the step
     controller stalls at the minimum step and NormDriftExceeded when the norm
     leaves 1 by more than 1e-6 at any accepted step.  This is a batch of one
     through :func:`propagate_batch`.
@@ -392,7 +396,7 @@ def propagate(
 def propagate_batch(
     points: Sequence[tuple[MultiLambdaSystem, PulsePair]],
     config: IntegratorConfig | None = None,
-    initials: Sequence[StateVector | None] | None = None,
+    initials: Sequence[ArrayLike | None] | None = None,
 ) -> list[PropagationResult]:
     """Propagate several ``(system, pulses)`` points of one dimension in lockstep.
 
@@ -401,6 +405,7 @@ def propagate_batch(
     step size and controller state, so it takes exactly the steps it takes
     alone, and its result does not depend on the other points of the batch.
     A point drops out of the batch when it reaches its window end.
+    ``initials`` gives each point's start as in :func:`propagate`.
 
     When points fail, the error of the first failing point in batch order is
     raised once every point before it has finished, with that point's

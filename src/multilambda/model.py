@@ -12,8 +12,9 @@ Units: the peak Rabi frequency of the pulse pair sets the frequency scale.
 Detunings are multiples of it, times are multiples of its inverse.
 
 Basis ordering everywhere in this package: ``(i, 1, ..., N, f)``, so a state
-vector has N+2 complex amplitudes.  Intermediate-state indices in function
-signatures are 0-based positions into ``alphas``/``betas``/``detunings``.
+is a plain complex array of N+2 amplitudes.  Intermediate-state indices in
+function signatures are 0-based positions into ``alphas``/``betas``/
+``detunings``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import BothEnvelopesZero, ZeroDetuningInSum
 __all__ = [
     "PulsePair",
     "MultiLambdaSystem",
-    "StateVector",
     "SSums",
     "build_hamiltonian",
     "gaussian_envelopes",
@@ -175,38 +175,6 @@ class MultiLambdaSystem:
             tuple(d + shift for d in self.detunings),
             enforce_normalization=False,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Immutable N+2 component amplitude vector in the ``(i, 1..N, f)`` basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=complex)
-        if arr.ndim != 1 or arr.size < 3:
-            raise ValueError("state vector needs at least 3 amplitudes in one dimension")
-        if not np.isfinite(arr).all():
-            raise ValueError("state vector amplitudes must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @classmethod
-    def initial(cls, n_intermediate: int) -> "StateVector":
-        amps = np.zeros(n_intermediate + 2, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps)
-
-    @property
-    def n_intermediate(self) -> int:
-        return self.amplitudes.size - 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -360,13 +328,22 @@ def det_closed_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -
     return omega_p**2 * omega_s**2 * total
 
 
-def dark_state(system: MultiLambdaSystem, pulses: PulsePair, t: float) -> StateVector:
+def _read_only_state(amps: np.ndarray) -> np.ndarray:
+    """``amps`` made read-only; an overflow that left a non-finite amplitude is refused."""
+    if not np.isfinite(amps).all():
+        raise ValueError("state vector amplitudes must be finite")
+    amps.setflags(write=False)
+    return amps
+
+
+def dark_state(system: MultiLambdaSystem, pulses: PulsePair, t: float) -> np.ndarray:
     """Two-component trapped state with no intermediate admixture.
 
     For proportional couplings this is a zero-eigenvalue eigenstate of the
     Hamiltonian at every instant; it connects ``i`` at early times to ``f``
     at late times through the counterintuitive pulse order.  For a system in
     customary normalization it reads (omega_s/Omega, 0, ..., -omega_p/Omega).
+    Returns the N+2 amplitudes as a read-only complex array.
     """
     wp, ws = pulses.values(t)
     x = system.betas[0] * ws
@@ -377,7 +354,7 @@ def dark_state(system: MultiLambdaSystem, pulses: PulsePair, t: float) -> StateV
     amps = np.zeros(system.dimension, dtype=complex)
     amps[0] = x / nrm
     amps[-1] = -y / nrm
-    return StateVector(amps)
+    return _read_only_state(amps)
 
 
 def zero_eigvec_amplitudes(
@@ -386,15 +363,15 @@ def zero_eigvec_amplitudes(
     t: float,
     a_i: float,
     a_f: float,
-) -> StateVector:
+) -> np.ndarray:
     """Zero-eigenvalue eigenvector extended to the intermediate states.
 
     Given end-state amplitudes ``(a_i, a_f)`` that solve the zero-eigenvalue
     end-state equations, each intermediate amplitude follows as
     ``-(alpha_k omega_p a_i + beta_k omega_s a_f) / delta_k``.  The result is
-    normalized.  The caller is responsible for the validity of ``(a_i, a_f)``;
-    the vector is exactly a null vector only when the zero-eigenvalue
-    condition holds for the system.
+    a normalized, read-only complex array.  The caller is responsible for the
+    validity of ``(a_i, a_f)``; the vector is exactly a null vector only when
+    the zero-eigenvalue condition holds for the system.
     """
     if any(d == 0.0 for d in system.detunings):
         raise ZeroDetuningInSum("intermediate amplitudes divide by each detuning")
@@ -407,4 +384,4 @@ def zero_eigvec_amplitudes(
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("zero end-state amplitudes give an empty vector")
-    return StateVector(amps / nrm)
+    return _read_only_state(amps / nrm)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,6 +13,7 @@ from multilambda import (
     NoCrossing,
     NotProportional,
     PreconditionViolated,
+    PulsePair,
     Regime,
     WrongResonanceCount,
     ZeroEigenvalue,
@@ -460,6 +463,73 @@ class TestCrossingEstimate:
         est = lz_estimate(LZ_ZERO, pulses(20.0))
         assert abs(est.xi) < 1e-30
         assert est.pf_estimate < 1e-25
+
+    @pytest.mark.parametrize(
+        ("system", "pul", "xi"),
+        [
+            # tau * tau underflowed: ZeroDivisionError
+            (LINKED, PulsePair(1.0, 1.0, 1e-300), 0.0),
+            # S_b2 / S_a2 underflowed: math domain error in the log
+            (MultiLambdaSystem((1, 1e150), (1, 1e-20), (1e30, 1)), PulsePair(1.0, 30.0, 15.0), 0.0),
+            # log ratio 0 times an infinite T^2/tau^2: NaN; xi = (T/4tau) S_ab^2/S_a2
+            (MultiLambdaSystem((1, 1), (1, 1), (1, 2)), PulsePair(1.0, 1.0, 1e-160), 3.75e159),
+        ],
+    )
+    def test_extreme_inputs_give_numbers(self, system, pul, xi):
+        est = lz_estimate(system, pul)
+        assert est.xi == pytest.approx(xi, rel=1e-12)
+        assert not math.isnan(est.t_c)
+        assert est.pf_estimate == (1.0 if xi else 0.0)
+
+    def test_xi_scales_with_squared_couplings(self):
+        # S_ab^2 and S_a2 S_b2 once overflowed at couplings 1e100: inf/inf = NaN
+        base = MultiLambdaSystem((1.0,), (2.0,), (1.0,), enforce_normalization=False)
+        scaled = MultiLambdaSystem((1e100,), (2e100,), (1.0,), enforce_normalization=False)
+        pul = pulses(30.0)
+        assert lz_estimate(scaled, pul).xi == pytest.approx(
+            1e200 * lz_estimate(base, pul).xi, rel=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.floats(-100.0, 100.0),
+                st.floats(-100.0, 100.0),
+                st.floats(-150.0, 150.0),
+                st.sampled_from((-1.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        log_width=st.floats(-300.0, 300.0),
+        log_ratio=st.floats(-300.0, 300.0),
+        log_omega0=st.one_of(st.none(), st.floats(-300.0, 300.0)),
+    )
+    @example(terms=[(100.0, 100.0, 0.0, 1.0)], log_width=1.0, log_ratio=0.0, log_omega0=0.0)
+    def test_estimate_is_a_number_wherever_defined(self, terms, log_width, log_ratio, log_omega0):
+        # Log-uniform magnitudes: couplings 1e-100..1e100, detunings
+        # +-1e-150..1e150, widths 1e-300..1e300, delay/width 1e-300..1e300.
+        # The example overflows S_ab^2, once giving inf/inf = NaN.
+        width = 10.0**log_width
+        omega0 = 0.0 if log_omega0 is None else 10.0**log_omega0
+        try:
+            system = MultiLambdaSystem(
+                tuple(10.0**a for a, _, _, _ in terms),
+                tuple(10.0**b for _, b, _, _ in terms),
+                tuple(sign * 10.0**d for _, _, d, sign in terms),
+                enforce_normalization=False,
+            )
+            pul = PulsePair(omega0, width, 10.0**log_ratio * width)
+        except ValueError:
+            assume(False)
+        try:
+            est = lz_estimate(system, pul)
+        except NoCrossing:
+            return
+        assert not math.isnan(est.t_c)
+        assert 0.0 <= est.xi <= math.inf
+        assert 0.0 <= est.pf_estimate <= 1.0
 
     def test_no_crossing_cases(self):
         pul = pulses(30.0)

@@ -310,6 +310,52 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: config: propagation window [-inf, inf]")
 
+    def test_tiny_delay_runs_and_refused_width_point_is_2(self, tmp_path):
+        # tau * tau underflowed in the crossing estimate: ZeroDivisionError,
+        # exit 1; at width 1e-30 the delay underflows to 0, which the scan
+        # once let escape as a bare ValueError
+        (tmp_path / "run.conf").write_text(
+            SINGLE_RUN.replace("width = 10", "width = 1\ndelay = 1e-300")
+            + "\n[scan]\naxis = pulse_width\nstart = 1e-30\nstop = 1\npoints = 2\n"
+        )
+        for command in ("simulate", "analyze"):
+            proc = run_cli(command, "run.conf", cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        proc = run_cli("scan", "run.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: config: at scan value 1e-30: pulse delay must be positive\n"
+        )
+        assert proc.stdout == ""
+
+    def test_refused_detuning_point_is_2(self, tmp_path):
+        # the middle value's delta_1 delta_2 underflows, so its sums overflow
+        (tmp_path / "bad.conf").write_text(
+            "[system]\nalphas = 1, 2\nbetas = 1, 1\ndetunings = 1e-150, 1e-150\n"
+            "\n[scan]\naxis = common_detuning\nstart = -1e-150\nstop = -0.99999e-150\n"
+            "points = 3\n"
+        )
+        proc = run_cli("scan", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "error: config: at scan value -9.99995e-151: detuning sums over the nonzero"
+        )
+        proc = run_cli("analyze", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config:")
+
+    def test_oversized_point_count_is_2(self, tmp_path):
+        # scan once exited 1 from np.linspace and analyze accepted the count
+        (tmp_path / "bad.conf").write_text(
+            SINGLE_RUN
+            + "\n[scan]\naxis = common_detuning\nstart = -1\nstop = 1\n"
+            "points = 100000000000000000000000\n"
+        )
+        for command in ("scan", "analyze"):
+            proc = run_cli(command, "bad.conf", cwd=tmp_path)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: config: scan points must be at most")
+
     @settings(max_examples=8, deadline=None)
     @given(text=mutated_presets(malformed=True))
     def test_malformed_preset_is_2(self, tmp_path_factory, text):

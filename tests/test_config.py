@@ -221,6 +221,13 @@ class TestScanSpec:
         with pytest.raises(ValueError, match="differ"):
             ScanSpec(ScanAxis.COMMON_DETUNING, start=1.0, stop=1.0, points=3)
 
+    @pytest.mark.parametrize("points", [10**23, 2**60])
+    def test_point_count_beyond_numpy_refused(self, points):
+        # np.linspace once raised "Maximum allowed size exceeded" at scan time;
+        # no count at or below the bound is tried, which NumPy would allocate
+        with pytest.raises(ValueError, match="at most"):
+            ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=points)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_refused(self, bad):
         for start, stop in ((bad, 1.0), (-1.0, bad)):

@@ -11,7 +11,6 @@ from multilambda import (
     MultiLambdaSystem,
     NormDriftExceeded,
     PreconditionViolated,
-    StateVector,
     ToleranceNotMet,
     ValidationError,
     ZeroDetuningInSum,
@@ -95,7 +94,7 @@ class TestPropagation:
         assert res.trajectory.shape == (res.time_grid.size, 4)
         assert not res.trajectory.flags.writeable
         assert not res.time_grid.flags.writeable
-        pops = res.populations
+        pops = np.abs(res.trajectory) ** 2
         assert pops.shape == (res.time_grid.size, 4)
         assert res.final_pf == pytest.approx(pops[-1, -1])
         assert np.allclose(pops.sum(axis=1), 1.0, atol=1e-6)
@@ -143,18 +142,18 @@ class TestPropagation:
         pul = pulses(30.0)
         amps = np.zeros(4, dtype=complex)
         amps[-1] = 1.0
-        res = propagate(LINKED, pul, initial=StateVector(amps))
+        res = propagate(LINKED, pul, initial=amps)
         assert res.final_norm_error < 1e-6
-        assert res.populations[0, -1] == pytest.approx(1.0)
+        assert np.abs(res.trajectory[0, -1]) ** 2 == pytest.approx(1.0)
 
     def test_initial_state_validation(self):
         pul = pulses(30.0)
         with pytest.raises(ValueError):
-            propagate(LINKED, pul, initial=StateVector(np.zeros(5, dtype=complex)))
+            propagate(LINKED, pul, initial=np.zeros(5, dtype=complex))
         bad = np.zeros(4, dtype=complex)
         bad[0] = 0.7
         with pytest.raises(ValueError):
-            propagate(LINKED, pul, initial=StateVector(bad))
+            propagate(LINKED, pul, initial=bad)
 
     def test_max_intermediate_population(self):
         pul = pulses(30.0)
@@ -168,7 +167,7 @@ class TestPropagation:
         for name, system in systems.items():
             # every accepted node is stored; the peak between nodes is refined
             res = propagate(system, pul, IntegratorConfig(store_every=1))
-            mids = res.populations[:, 1:-1].sum(axis=1)
+            mids = (np.abs(res.trajectory[:, 1:-1]) ** 2).sum(axis=1)
             assert res.max_intermediate_pop >= np.max(mids), name
             assert res.max_intermediate_pop == pytest.approx(
                 PEAK_MID_W30[name], rel=1e-9, abs=0
@@ -259,9 +258,8 @@ class TestBatch:
 
     def test_initial_states_per_point(self):
         pul = pulses(10.0)
-        amps = np.zeros(4, dtype=complex)
-        amps[-1] = 1.0
-        final = StateVector(amps)
+        final = np.zeros(4, dtype=complex)
+        final[-1] = 1.0
         a, b = propagate_batch([(LINKED, pul), (LINKED, pul)], initials=[None, final])
         _assert_same_result(a, propagate(LINKED, pul))
         _assert_same_result(b, propagate(LINKED, pul, initial=final))

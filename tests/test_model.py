@@ -13,11 +13,11 @@ from multilambda import (
     MultiLambdaSystem,
     PulsePair,
     SSums,
-    StateVector,
     ZeroDetuningInSum,
     build_hamiltonian,
     dark_state,
     det_closed_form,
+    propagate,
     zero_eigvec_amplitudes,
 )
 
@@ -137,29 +137,41 @@ class TestSystem:
         assert shifted.betas == LINKED.betas
 
 
-class TestStateVector:
-    def test_initial_and_populations(self):
-        sv = StateVector.initial(3)
-        assert sv.amplitudes.shape == (5,)
-        assert sv.norm() == pytest.approx(1.0)
-        assert sv.populations()[0] == pytest.approx(1.0)
-        assert sv.n_intermediate == 3
+class TestStates:
+    """A state is a plain complex array of N+2 amplitudes."""
 
-    def test_immutable(self):
-        sv = StateVector.initial(2)
-        with pytest.raises(ValueError):
-            sv.amplitudes[0] = 0.0
+    def test_null_vectors_are_read_only(self):
+        pul = pulses(30.0)
+        s = TRANSFER.sums
+        wp, ws = pul.values(0.0)
+        states = (
+            dark_state(DARK3, pul, 0.0),
+            zero_eigvec_amplitudes(TRANSFER, pul, 0.0, s.s_ab * ws, -s.s_a2 * wp),
+        )
+        for amps in states:
+            assert isinstance(amps, np.ndarray)
+            assert amps.dtype == complex
+            with pytest.raises(ValueError):
+                amps[0] = 0.0
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            StateVector(np.zeros((2, 2)))
+    def test_overflowing_null_vector_refused(self):
+        # beta_1 omega_s overflows, and inf/inf would leave a NaN amplitude
+        system = MultiLambdaSystem((1.0,), (10.0,), (1.0,), enforce_normalization=False)
+        pul = PulsePair(omega0=1e308, width=30.0, delay=15.0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            dark_state(system, pul, -15.0)
+
+    def test_initial_shape_validation(self):
+        pul = pulses(30.0)
+        with pytest.raises(ValueError, match="dimension"):
+            propagate(LINKED, pul, initial=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="dimension"):
+            propagate(LINKED, pul, initial=np.eye(4)[:2] / math.sqrt(2.0))
 
     @pytest.mark.parametrize("bad", NON_FINITE + (complex(0.0, float("nan")),))
-    def test_non_finite_refused(self, bad):
+    def test_initial_non_finite_refused(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            StateVector(np.array([1.0, bad, 0.0]))
+            propagate(LINKED, pulses(30.0), initial=np.array([1.0, bad, 0.0, 0.0]))
 
 
 class TestHamiltonian:
@@ -328,15 +340,15 @@ class TestNullVectors:
         for t in (-25.0, 0.0, 12.0):
             ds = dark_state(DARK3, pul, t)
             h = build_hamiltonian(DARK3, *pul.values(t))
-            assert np.linalg.norm(h @ ds.amplitudes) <= 1e-15 * np.linalg.norm(h)
-            assert ds.norm() == pytest.approx(1.0)
+            assert np.linalg.norm(h @ ds) <= 1e-15 * np.linalg.norm(h)
+            assert np.linalg.norm(ds) == pytest.approx(1.0)
             # no intermediate admixture at any time
-            assert np.all(ds.populations()[1:-1] == 0.0)
+            assert np.all(np.abs(ds[1:-1]) ** 2 == 0.0)
 
     def test_dark_state_connects_ends(self):
         pul = pulses(30.0)
-        early = dark_state(DARK3, pul, -120.0).populations()
-        late = dark_state(DARK3, pul, 120.0).populations()
+        early = np.abs(dark_state(DARK3, pul, -120.0)) ** 2
+        late = np.abs(dark_state(DARK3, pul, 120.0)) ** 2
         assert early[0] > 0.999
         assert late[-1] > 0.999
 
@@ -354,8 +366,8 @@ class TestNullVectors:
             wp, ws = pul.values(t)
             v = zero_eigvec_amplitudes(TRANSFER, pul, t, s.s_ab * ws, -s.s_a2 * wp)
             h = build_hamiltonian(TRANSFER, wp, ws)
-            assert np.linalg.norm(h @ v.amplitudes) <= 1e-12 * np.linalg.norm(h)
-            assert v.norm() == pytest.approx(1.0)
+            assert np.linalg.norm(h @ v) <= 1e-12 * np.linalg.norm(h)
+            assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_extension_needs_nonzero_detunings(self):
         with pytest.raises(ZeroDetuningInSum):

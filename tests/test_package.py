@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import multilambda
 from multilambda import analysis, config, dynamics, errors, model, runner, spectral
 
@@ -32,15 +34,16 @@ EARLIER_NAMES = {
 # two-state model (``adiabatic_eliminate``), the one-member pulse-shape enum,
 # the per-snapshot record (one row of ``track_spectrum``'s stacked result) and
 # the per-regime tail asymptotics with their resonance-index check
-# (``asymptotic_eigenvalues``, which reads the resonance from the system) and
-# the detuning sums built per call (``MultiLambdaSystem.sums``).
+# (``asymptotic_eigenvalues``, which reads the resonance from the system),
+# the detuning sums built per call (``MultiLambdaSystem.sums``) and the
+# one-field state wrapper (states are plain complex arrays of N+2 amplitudes).
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
     "effective_two_state", "PulseShape", "det_offres_sum_form",
     "det_single_res_sum_form", "det_pair_form", "SpectralSnapshot",
     "asymptotic_eigenvalues_offres", "asymptotic_eigenvalues_res", "NotSingleResonance",
-    "s_sums",
+    "s_sums", "StateVector",
 }
 
 
@@ -54,6 +57,14 @@ def test_every_module_export_is_a_package_attribute():
 
 def test_export_list_has_no_duplicates():
     assert len(multilambda.__all__) == len(set(multilambda.__all__))
+
+
+def test_no_single_field_public_dataclass():
+    # A one-field public dataclass is a thin wrapper around its field.
+    for name in multilambda.__all__:
+        obj = getattr(multilambda, name)
+        if dataclasses.is_dataclass(obj):
+            assert len(dataclasses.fields(obj)) != 1, name
 
 
 def test_earlier_exports_kept():

@@ -1,9 +1,11 @@
-"""``run_scan`` in-process: the values it scans and the order of its rows."""
+"""``run_scan`` in-process: the values it scans, the order of its rows and the
+points it refuses."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from multilambda import parse_config, run_scan
+from multilambda import ValidationError, parse_config, run_scan
 
 WIDTH_SCAN = """\
 [system]
@@ -36,3 +38,14 @@ def test_log_scale_width_scan():
     rows = run_scan(cfg)
     assert [row.scan_value for row in rows] == values.tolist()
     assert all(0.0 <= row.pf <= 1.0 for row in rows)
+
+
+def test_refused_scan_point_names_its_value():
+    # delta_1 delta_2 at the middle value underflows: the constructor refuses
+    # that point, which once escaped as a bare ValueError
+    cfg = parse_config(
+        "[system]\nalphas = 1, 2\nbetas = 1, 1\ndetunings = 1e-150, 1e-150\n"
+        "\n[scan]\naxis = common_detuning\nstart = -1e-150\nstop = -0.99999e-150\npoints = 3\n"
+    )
+    with pytest.raises(ValidationError, match=r"^at scan value -9\.99995e-151: detuning sums"):
+        run_scan(cfg)
