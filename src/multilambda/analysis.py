@@ -192,13 +192,19 @@ def at_window_boundaries(
     The system's detunings are treated as bases shifted by a common value x.
     Returned are all roots of either detuning-weighted coupling sum inside
     [lo, hi], sorted ascending; between consecutive boundaries (and poles)
-    the existence verdict is constant.
+    the existence verdict is constant.  With proportional couplings the two
+    sums share their roots, which are found once: two rounded copies of one
+    root would bound a spurious window a few ulps wide.
     """
     if lo >= hi:
         raise ValueError("empty detuning range")
+    couplings = (system.alphas,) if system.is_proportional() else (system.alphas, system.betas)
+    # Scaling all weights of one sum together leaves its roots unchanged, so
+    # each coupling vector is divided by a power of two, exactly, before it
+    # is squared: the squares of tiny couplings would underflow.
     roots = np.concatenate([
-        _sum_roots(np.square(system.alphas), system.detunings),
-        _sum_roots(np.square(system.betas), system.detunings),
+        _sum_roots(np.square(np.ldexp(c, -math.frexp(max(c))[1])), system.detunings)
+        for c in couplings
     ])
     return np.unique(roots[(lo <= roots) & (roots <= hi)]).tolist()
 
@@ -247,7 +253,11 @@ def reduce_degenerate(system: MultiLambdaSystem) -> tuple[MultiLambdaSystem, flo
         )
     first = resonant[0]
     a1 = system.alphas[first]
-    mu = math.sqrt(sum(system.alphas[k] ** 2 for k in resonant)) / a1
+    # The couplings over a power of two near the largest, exactly, so no
+    # square under- or overflows.
+    e = math.frexp(max(system.alphas[k] for k in resonant))[1]
+    norm = math.sqrt(sum(math.ldexp(system.alphas[k], -e) ** 2 for k in resonant))
+    mu = norm / math.ldexp(a1, -e)
     drop = set(resonant[1:])
     alphas = []
     betas = []
@@ -263,13 +273,7 @@ def reduce_degenerate(system: MultiLambdaSystem) -> tuple[MultiLambdaSystem, flo
             alphas.append(system.alphas[k])
             betas.append(system.betas[k])
             detunings.append(system.detunings[k])
-    reduced = MultiLambdaSystem(
-        alphas=tuple(alphas),
-        betas=tuple(betas),
-        detunings=tuple(detunings),
-        enforce_normalization=False,
-    )
-    return reduced, mu
+    return MultiLambdaSystem(tuple(alphas), tuple(betas), tuple(detunings)), mu
 
 
 def adiabatic_eliminate(
@@ -314,15 +318,15 @@ _LN_PI = math.log(math.pi)
 _LN_MAX = math.log(sys.float_info.max)
 
 
-def _ln(x: float) -> float:
-    """log|x|, and -inf at zero."""
-    return math.log(abs(x)) if x else -math.inf
+def _ln(x: float, shift: int = 0) -> float:
+    """log|x 2**shift|, and -inf at zero."""
+    return math.log(abs(x)) + shift * _LN2 if x else -math.inf
 
 
-def _ln_ratio(a: float, b: float) -> float:
-    """log(a/b) for nonzero a, b of one sign, also where a/b under- or overflows."""
+def _ln_ratio(a: float, b: float, shift: int = 0) -> float:
+    """log(a/b 2**shift) for nonzero a, b of one sign, also where a/b under- or overflows."""
     (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
-    return math.log(ma / mb) + (ea - eb) * _LN2
+    return math.log(ma / mb) + (ea - eb + shift) * _LN2
 
 
 def _exp(x: float) -> float:
@@ -358,12 +362,13 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
     """
     if system.resonant_indices():
         raise NoCrossing("resonant state present")
-    s = system.sums
-    if not s.crossing():
+    if not system.sums.crossing():
         raise NoCrossing("effective detuning does not cross zero")
+    # The sums as value * 2**exp, so none has under- or overflowed.
+    a2, b2, ab, _ = system.sums.unit
     T = pulses.width
     tau = pulses.delay
-    log_ratio = _ln_ratio(s.s_b2, s.s_a2)
+    log_ratio = _ln_ratio(b2.value, a2.value, b2.exp - a2.exp)
     # With equal sums the crossing is at t = 0 however large T/tau is.
     ql = T / tau * log_ratio if log_ratio else 0.0
     r = tau / T
@@ -371,7 +376,7 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
     # overflow where xi and the transfer estimate do not.
     ln_xi = (
         _ln_ratio(T, tau) - _LN4
-        + 2.0 * _ln(s.s_ab) - 0.5 * (_ln(s.s_a2) + _ln(s.s_b2))
+        + 2.0 * _ln(ab.value, ab.exp) - 0.5 * (_ln(a2.value, a2.exp) + _ln(b2.value, b2.exp))
         - 2.0 * r * r - ql * ql / 32.0
     )
     exponent = _exp(_LN_PI + 2.0 * (_ln(pulses.omega0) + math.log(T)) + ln_xi)

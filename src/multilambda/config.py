@@ -7,12 +7,15 @@ to defaults.  Values may be numbers, fractions like -2/3 (kept exact to
 double precision, which matters for constructing exactly-vanishing
 detuning sums), booleans, or comma-separated number lists.
 
-Each section's keys are the fields of the dataclass it builds, and every
-value rule lives on that dataclass: ``MultiLambdaSystem``, ``PulsePair``,
+Each section's keys are the fields of the dataclass it builds, and the
+value rules live on that dataclass: ``MultiLambdaSystem``, ``PulsePair``,
 ``IntegratorConfig`` and ``ScanSpec`` refuse non-finite numbers and values
-outside their domain, for library callers and config files alike.  A value
-that is not a number is a ``ParseError`` carrying its line; a refused value
-or a missing key is a ``ValidationError``.
+outside their domain, for library callers and config files alike.  Three
+conventions hold for config files only and are checked here: ``n``, when
+given, matches the list length, ``omega0`` is positive, and the first
+coupling pair is normalized, alphas[0] == betas[0] == 1.  A value that is
+not a number is a ``ParseError`` carrying its line; a refused value or a
+missing key is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -200,6 +203,8 @@ def parse_config(text: str, source: str = "<string>", base_dir: Path | None = No
         raise ValidationError("missing [system] section")
     n = sections["system"].pop("n", None)
     system = _build(MultiLambdaSystem, "system", sections["system"])
+    if system.alphas[0] != 1.0 or system.betas[0] != 1.0:
+        raise ValidationError("first coupling pair must be normalized to 1")
     if n is not None and n != system.n_intermediate:
         raise ValidationError(f"n = {n}, but the lists have {system.n_intermediate} entries")
 

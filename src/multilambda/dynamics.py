@@ -630,6 +630,8 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
     population oscillates between them, and the final transfer is cos^2 of
     the mixing angle weighted by the second state's normalization factor,
     integrated by adaptive quadrature over the pulse pair's default window.
+    For the Gaussian pair the mixing angle, tan(theta) = omega_p/omega_s,
+    turns at the rate (4 delay/width^2) omega_p omega_s/(omega_p^2 + omega_s^2).
     """
     from scipy.integrate import quad  # SciPy's import cost is paid only here
 
@@ -642,14 +644,14 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
         raise PreconditionViolated("all detuning sums must vanish")
     q = sum(a * a / (d * d) for a, d in zip(system.alphas, system.detunings))
     lo, hi = pulses.default_window()
+    rate = 4.0 * pulses.delay / pulses.width**2
 
     def integrand(t: float) -> float:
         wp, ws = pulses.values(t)
         w2 = wp * wp + ws * ws
         if w2 == 0.0:
             return 0.0
-        dwp, dws = pulses.derivatives(t)
-        theta_dot = (dwp * ws - wp * dws) / w2
+        theta_dot = rate * wp * ws / w2
         nu = 1.0 / math.sqrt(1.0 + w2 * q)
         return theta_dot * nu
 

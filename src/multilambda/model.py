@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,14 +85,6 @@ class PulsePair:
         """Return ``(omega_p, omega_s)`` at time ``t`` (scalar or array)."""
         return gaussian_envelopes(t, self.omega0, self.width, self.delay)
 
-    def derivatives(self, t):
-        """Time derivatives of the two envelopes at ``t``."""
-        wp, ws = self.values(t)
-        return (
-            wp * (-2.0 * (t - self.delay) / self.width**2),
-            ws * (-2.0 * (t + self.delay) / self.width**2),
-        )
-
     def default_window(self) -> tuple[float, float]:
         """Propagation window wide enough that envelopes are below e^-16 of peak."""
         half = 4.0 * self.width + self.delay
@@ -103,10 +96,8 @@ class MultiLambdaSystem:
     """Static couplings and detunings of one N-pathway system.
 
     ``alphas[k]`` and ``betas[k]`` are the dimensionless pump and Stokes
-    weights of intermediate state k and must be positive.  The customary
-    normalization fixes ``alphas[0] == betas[0] == 1``; systems produced by
-    degenerate-manifold reduction carry a rescaled first coupling, and those
-    are built with ``enforce_normalization=False``.
+    weights of intermediate state k and may be any positive numbers: no
+    verdict depends on their scale, nor on the detunings' scale.
 
     ``sums`` holds the detuning sums over the states with nonzero detuning:
     over all states off resonance, and without the resonant state n when n
@@ -117,7 +108,6 @@ class MultiLambdaSystem:
     alphas: tuple[float, ...]
     betas: tuple[float, ...]
     detunings: tuple[float, ...]
-    enforce_normalization: bool = field(default=True, repr=False, compare=False, kw_only=True)
     sums: SSums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,8 +126,6 @@ class MultiLambdaSystem:
             raise ValueError("couplings and detunings must be finite")
         if any(a <= 0 for a in alphas) or any(b <= 0 for b in betas):
             raise ValueError("coupling weights must be positive")
-        if self.enforce_normalization and (alphas[0] != 1.0 or betas[0] != 1.0):
-            raise ValueError("first coupling pair must be normalized to 1")
         sums = SSums.over([t for t in zip(alphas, betas, detunings) if t[2] != 0.0])
         if not sums.is_finite():
             raise ValueError("detuning sums over the nonzero detunings must be finite")
@@ -161,20 +149,96 @@ class MultiLambdaSystem:
         return tuple(k for k, d in enumerate(self.detunings) if d == 0.0)
 
     def is_proportional(self, indices=None) -> bool:
-        """True when alpha_k/beta_k agree (over ``indices`` or all states)."""
+        """True when alpha_k/beta_k agree (over ``indices`` or all states).
+
+        Each coupling vector is first divided by a power of two, which is
+        exact, so no ratio under- or overflows however the two scale apart.
+        """
         idx = range(self.n_intermediate) if indices is None else tuple(indices)
-        ratios = [self.alphas[k] / self.betas[k] for k in idx]
+        ea, eb = math.frexp(max(self.alphas))[1], math.frexp(max(self.betas))[1]
+        ratios = [math.ldexp(self.alphas[k], -ea) / math.ldexp(self.betas[k], -eb) for k in idx]
         ref = ratios[0]
         return all(abs(r - ref) <= PROPORTIONALITY_RTOL * abs(ref) for r in ratios)
 
     def with_common_detuning(self, shift: float) -> "MultiLambdaSystem":
         """Shift every detuning by the same amount (detuning-scan axis)."""
-        return MultiLambdaSystem(
-            self.alphas,
-            self.betas,
-            tuple(d + shift for d in self.detunings),
-            enforce_normalization=False,
-        )
+        return MultiLambdaSystem(self.alphas, self.betas, tuple(d + shift for d in self.detunings))
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2**e, and an infinity of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+class _Scaled(NamedTuple):
+    """A sum and the sum of its terms' magnitudes, both times 2**-exp.
+
+    ``exp`` is the largest binary exponent among the terms, so neither number
+    under- or overflows however the couplings and detunings scale.
+    """
+
+    value: float
+    scale: float
+    exp: int
+
+    @classmethod
+    def of(cls, terms: list[tuple[float, float, int]]) -> "_Scaled":
+        """From ``(m, bound, e)`` terms: m 2**e, of magnitude at most bound 2**e."""
+        exp = max((e for _, _, e in terms), default=0)
+        value = scale = 0.0
+        for m, bound, e in terms:
+            value += math.ldexp(m, e - exp)
+            scale += math.ldexp(bound, e - exp)
+        return cls(value, scale, exp)
+
+    def plain(self) -> tuple[float, float]:
+        """The sum and its scale as floats, infinite where they overflow."""
+        return _ldexp(self.value, self.exp), _ldexp(self.scale, self.exp)
+
+    def is_zero(self) -> bool:
+        return abs(self.value) <= _ZERO_RTOL * self.scale
+
+
+class _Sums(NamedTuple):
+    """S_a2, S_b2, S_ab and the pair residual S_a2 S_b2 - S_ab^2."""
+
+    a2: _Scaled
+    b2: _Scaled
+    ab: _Scaled
+    residual: _Scaled
+
+
+def _sums(terms) -> _Sums:
+    """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero.
+
+    Each number is split by ``math.frexp`` into a mantissa m and an exponent
+    e, and each sum is formed from the mantissas, so nothing under- or
+    overflows.  A power-of-two scaling is exact, so wherever the plain sums
+    neither under- nor overflow, the sums times 2**exp are the plain sums
+    bit for bit.  The residual sums the pairs k < l of Lagrange's identity,
+    (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l).
+    """
+    parts = [math.frexp(a) + math.frexp(b) + math.frexp(d) for a, b, d in terms]
+    a2, b2, ab, pairs = [], [], [], []
+    for ma, ea, mb, eb, md, ed in parts:
+        x, y, z = ma * ma / md, mb * mb / md, ma * mb / md
+        a2.append((x, abs(x), 2 * ea - ed))
+        b2.append((y, abs(y), 2 * eb - ed))
+        ab.append((z, abs(z), ea + eb - ed))
+    for k, (mak, eak, mbk, ebk, mdk, edk) in enumerate(parts):
+        for mal, eal, mbl, ebl, mdl, edl in parts[k + 1 :]:
+            # alpha_k beta_l and alpha_l beta_k, both times 2**-top
+            p, q, shift = mak * mbl, mal * mbk, eak + ebl - eal - ebk
+            if shift < 0:
+                p, top = math.ldexp(p, shift), eal + ebk
+            else:
+                q, top = math.ldexp(q, -shift), eak + ebl
+            minor, bound, dd = p - q, p + q, mdk * mdl
+            pairs.append((minor * minor / dd, bound * bound / abs(dd), 2 * top - edk - edl))
+    return _Sums(_Scaled.of(a2), _Scaled.of(b2), _Scaled.of(ab), _Scaled.of(pairs))
 
 
 @dataclass(frozen=True)
@@ -185,72 +249,65 @@ class SSums:
     ``s_ab`` sums alpha_k*beta_k/delta_k.  ``residual`` is
     S_a2*S_b2 - S_ab^2; off resonance H has a zero eigenvalue iff it
     vanishes.  The ``*_scale`` fields hold the corresponding sums of term
-    magnitudes.  Every test that a sum, the residual, the bracket or the
-    product S_a2 S_b2 vanishes is made here, relative to the sum of its
-    terms' magnitudes, so no verdict depends on the detuning scale.  A
-    system's own sums are ``MultiLambdaSystem.sums``.
+    magnitudes.  ``unit`` holds the four sums and scales as they are summed,
+    from the binary mantissas and exponents of the couplings and detunings:
+    each times its own 2**-exp, so that none has under- or overflowed.  The
+    plain fields are ``unit`` times 2**exp, infinite where that overflows
+    and rounded to zero or a subnormal where it underflows.  Every test that a
+    sum, the residual, the bracket or the product S_a2 S_b2 vanishes, and
+    every sign test, is made here on ``unit``, relative to the sum of the
+    terms' magnitudes, so no verdict depends on the scale of the couplings
+    or of the detunings.  A system's own sums are ``MultiLambdaSystem.sums``.
     """
 
     s_a2: float
     s_b2: float
     s_ab: float
-    s_a2_scale: float = 0.0
-    s_b2_scale: float = 0.0
-    s_ab_scale: float = 0.0
-    residual: float = 0.0
-    residual_scale: float = 0.0
+    s_a2_scale: float
+    s_b2_scale: float
+    s_ab_scale: float
+    residual: float
+    residual_scale: float
+    unit: _Sums = field(repr=False)
 
     @classmethod
     def over(cls, terms) -> "SSums":
         """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero.
 
-        The residual and its scale are sums over pairs k < l (Lagrange's
-        identity): (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l).  The
+        The residual and its scale are sums over pairs k < l, so the
         alpha_k^2 beta_k^2/delta_k^2 terms, which cancel exactly in the
-        product of sums, never appear, so a near-resonant delta_k costs no
-        precision.  Where delta_k delta_l underflows to zero both are NaN.
+        product of sums, never appear and a near-resonant delta_k costs no
+        precision.
         """
-        sa = sb = sab = 0.0
-        sa_m = sb_m = sab_m = 0.0
-        for a, b, d in terms:
-            sa += a * a / d
-            sb += b * b / d
-            sab += a * b / d
-            sa_m += abs(a * a / d)
-            sb_m += abs(b * b / d)
-            sab_m += abs(a * b / d)
-        res = res_m = 0.0
-        try:
-            for k, (ak, bk, dk) in enumerate(terms):
-                for al, bl, dl in terms[k + 1 :]:
-                    minor = ak * bl - al * bk
-                    res += minor * minor / (dk * dl)
-                    bound = abs(ak * bl) + abs(al * bk)
-                    res_m += bound * bound / abs(dk * dl)
-        except ZeroDivisionError:
-            res = res_m = math.nan
-        return cls(sa, sb, sab, sa_m, sb_m, sab_m, res, res_m)
+        unit = _sums(terms)
+        (sa, sa_m), (sb, sb_m), (sab, sab_m), (res, res_m) = (x.plain() for x in unit)
+        return cls(sa, sb, sab, sa_m, sb_m, sab_m, res, res_m, unit)
 
     def is_finite(self) -> bool:
-        """Every term magnitude sum, the pair residual's included, is a finite float."""
+        """Every term magnitude sum, the pair residual's included, is a finite float.
+
+        The sums are exact up to rounding, so this refuses only magnitudes
+        beyond the largest float, not under- or overflowing intermediate
+        products such as alpha_k^2 or delta_k delta_l.
+        """
         scales = (self.s_a2_scale, self.s_b2_scale, self.s_ab_scale, self.residual_scale)
         return all(map(math.isfinite, scales))
 
     def a2_is_zero(self) -> bool:
-        return abs(self.s_a2) <= _ZERO_RTOL * self.s_a2_scale
+        return self.unit.a2.is_zero()
 
     def b2_is_zero(self) -> bool:
-        return abs(self.s_b2) <= _ZERO_RTOL * self.s_b2_scale
+        return self.unit.b2.is_zero()
 
     def ab_is_zero(self) -> bool:
-        return abs(self.s_ab) <= _ZERO_RTOL * self.s_ab_scale
+        return self.unit.ab.is_zero()
 
     def all_zero(self) -> bool:
         """All three sums vanish: the zero eigenvalue is twofold degenerate."""
         return self.a2_is_zero() and self.b2_is_zero() and self.ab_is_zero()
 
     def residual_is_zero(self) -> bool:
-        return abs(self.residual) <= _ZERO_RTOL * self.residual_scale
+        return self.unit.residual.is_zero()
 
     def bracket(self, a: float, b: float) -> float:
         """a^2 S_b2 - 2ab S_ab + b^2 S_a2: with ``a``, ``b`` the couplings of the
@@ -260,9 +317,13 @@ class SSums:
         return a * a * self.s_b2 - 2.0 * a * b * self.s_ab + b * b * self.s_a2
 
     def bracket_is_zero(self, a: float, b: float) -> bool:
-        cross = 2.0 * abs(a * b) * self.s_ab_scale
-        scale = a * a * self.s_b2_scale + cross + b * b * self.s_a2_scale
-        return abs(self.bracket(a, b)) <= _ZERO_RTOL * scale
+        (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+        a2, b2, ab, _ = self.unit
+        return _Scaled.of([
+            (ma * ma * b2.value, ma * ma * b2.scale, 2 * ea + b2.exp),
+            (-2.0 * ma * mb * ab.value, 2.0 * abs(ma * mb) * ab.scale, ea + eb + ab.exp),
+            (mb * mb * a2.value, mb * mb * a2.scale, 2 * eb + a2.exp),
+        ]).is_zero()
 
     def crossing(self) -> bool:
         """The off-resonant transfer rule: S_a2 and S_b2 nonzero with one sign.
@@ -272,13 +333,17 @@ class SSums:
         sequence, so a transfer state exists and the avoided crossing is
         defined.
         """
-        return not self.a2_is_zero() and not self.b2_is_zero() and self.s_a2 * self.s_b2 > 0
+        a2, b2 = self.unit.a2, self.unit.b2
+        return not a2.is_zero() and not b2.is_zero() and (a2.value > 0) == (b2.value > 0)
 
     def crossing_is_marginal(self) -> bool:
         """S_a2 S_b2 is too close to zero for the sign behind :meth:`crossing`
-        to be trusted: the system sits on an existence-window boundary.
+        to be trusted: the product of the two sums' sizes relative to their
+        scales is below the zero tolerance, so the system sits on an
+        existence-window boundary.
         """
-        return abs(self.s_a2 * self.s_b2) < _ZERO_RTOL * self.s_a2_scale * self.s_b2_scale
+        a2, b2 = self.unit.a2, self.unit.b2
+        return abs(a2.value * b2.value) < _ZERO_RTOL * a2.scale * b2.scale
 
 
 def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray:

@@ -320,7 +320,6 @@ class Side(Enum):
 class AsymptoticEigenvalues:
     """Leading-order small and large vanishing eigenvalues on one side."""
 
-    side: Side
     small: float
     large: tuple[float, ...]
 
@@ -377,23 +376,15 @@ def asymptotic_eigenvalues(
         if side is Side.EARLY:
             if s.b2_is_zero():
                 raise DegenerateSums("S_b2 vanishes; early asymptotics undefined")
-            return AsymptoticEigenvalues(
-                side, -res / s.s_b2 * omega_p**2, (-s.s_b2 * omega_s**2,)
-            )
+            return AsymptoticEigenvalues(-res / s.s_b2 * omega_p**2, (-s.s_b2 * omega_s**2,))
         if s.a2_is_zero():
             raise DegenerateSums("S_a2 vanishes; late asymptotics undefined")
-        return AsymptoticEigenvalues(side, -res / s.s_a2 * omega_s**2, (-s.s_a2 * omega_p**2,))
+        return AsymptoticEigenvalues(-res / s.s_a2 * omega_s**2, (-s.s_a2 * omega_p**2,))
     n = resonant[0]
     an, bn = system.alphas[n], system.betas[n]
     bracket = s.bracket(an, bn)
     if side is Side.EARLY:
         return AsymptoticEigenvalues(
-            side,
-            -bracket / (bn * bn) * omega_p**2,
-            (-bn * omega_s, bn * omega_s),
+            -bracket / (bn * bn) * omega_p**2, (-bn * omega_s, bn * omega_s)
         )
-    return AsymptoticEigenvalues(
-        side,
-        -bracket / (an * an) * omega_s**2,
-        (-an * omega_p, an * omega_p),
-    )
+    return AsymptoticEigenvalues(-bracket / (an * an) * omega_s**2, (-an * omega_p, an * omega_p))

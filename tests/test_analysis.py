@@ -95,6 +95,35 @@ CLASSIFICATION_TABLE = [
 ]
 
 
+SCALE_FREE_CASES = [
+    LINKED, BROKEN, DARK3, TRANSFER, DOUBLE_ZERO, BLOCKED, PUMP_BLOCKED, MARGINAL, NEAR_RES,
+    RES_DARK, RES_GENERAL, LZ_ZERO,
+]
+
+
+def random_system(n: int, seed: int, resonant: bool) -> MultiLambdaSystem:
+    """Couplings U[0.3, 2], detunings U[-3, 3], one of them 0 if ``resonant``."""
+    rng = np.random.default_rng(seed)
+    de = rng.uniform(-3.0, 3.0, n)
+    if resonant:
+        de[rng.integers(n)] = 0.0
+    return MultiLambdaSystem(
+        tuple(rng.uniform(0.3, 2.0, n)), tuple(rng.uniform(0.3, 2.0, n)), tuple(de)
+    )
+
+
+def same_windows(got, want) -> bool:
+    return len(got) == len(want) and np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def lz_raises(system: MultiLambdaSystem) -> bool:
+    try:
+        lz_estimate(system, pulses(30.0))
+    except NoCrossing:
+        return True
+    return False
+
+
 class TestClassification:
     @pytest.mark.parametrize("system,regime,zero,at_state,reason", CLASSIFICATION_TABLE)
     def test_table(self, system, regime, zero, at_state, reason):
@@ -127,6 +156,72 @@ class TestClassification:
                 assert out.zero_eigenvalue is base.zero_eigenvalue
                 assert out.at_state is base.at_state
                 assert out.reason == base.reason
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.one_of(
+            st.sampled_from(SCALE_FREE_CASES),
+            st.builds(
+                random_system,
+                st.integers(min_value=1, max_value=5),
+                st.integers(0, 2**32 - 1),
+                st.booleans(),
+            ),
+        ),
+        decades=st.tuples(*[st.floats(-150.0, 150.0)] * 3),
+        same_detunings=st.booleans(),
+    )
+    def test_invariant_under_any_scale(self, base, decades, same_detunings):
+        # Pump couplings times a, Stokes couplings times b, detunings times c,
+        # each log-uniform over +-150 decades.  Products such as
+        # delta_k delta_l and S_a2 S_b2 once under- or overflowed here and
+        # changed the verdict of most systems.
+        a, b, c = (10.0**x for x in decades)
+        if same_detunings:
+            c = 1.0
+        try:
+            scaled = MultiLambdaSystem(
+                tuple(a * x for x in base.alphas),
+                tuple(b * x for x in base.betas),
+                tuple(c * x for x in base.detunings),
+            )
+        except ValueError as exc:
+            # the one refusal expected here: sums beyond the largest float
+            assert "must be finite" in str(exc)
+            assume(False)
+        assert classify(scaled) == classify(base)
+        assert lz_raises(scaled) == lz_raises(base)
+        if c == 1.0:
+            try:
+                got = no_at_intervals(scaled, -4.0, 4.0)
+            except ValueError as exc:
+                # a shifted point's sums overflow, refused as by the constructor
+                assert "must be finite" in str(exc)
+                return
+            assert same_windows(got, no_at_intervals(base, -4.0, 4.0))
+
+    @pytest.mark.parametrize(
+        "a,b", [(1e-100, 1e-100), (1e-170, 1e-170), (1e-200, 1e150), (1e150, 1e-200)]
+    )
+    @pytest.mark.parametrize(
+        "base",
+        [
+            MultiLambdaSystem((1, 2), (1, 0.5), (1, 2)),
+            LINKED, TRANSFER, BLOCKED, RES_GENERAL, DEGEN_PROP, DEGEN_REDUCIBLE, LZ_ZERO,
+        ],
+    )
+    def test_extreme_coupling_scales_keep_the_verdict(self, base, a, b):
+        # Pinned beyond the property's range.  At 1e-100 the pair terms and
+        # S_a2 S_b2 underflowed (the first base said NOT_EXISTS, "simple"),
+        # and so did the resonant bracket (RES_GENERAL said "simple"); near
+        # 1e-170 the squared couplings of the window roots and of the
+        # reduction boost did, and near 1e-350 the ratios alpha_k/beta_k.
+        scaled = MultiLambdaSystem(
+            tuple(a * x for x in base.alphas), tuple(b * x for x in base.betas), base.detunings
+        )
+        assert classify(scaled) == classify(base)
+        assert lz_raises(scaled) == lz_raises(base)
+        assert same_windows(no_at_intervals(scaled, -4.0, 4.0), no_at_intervals(base, -4.0, 4.0))
 
     def test_verdict_matches_null_space(self):
         # the zero-eigenvalue verdict must agree with an eigensolver null
@@ -199,7 +294,6 @@ class TestConsistencyWithSpectrum:
             tuple(rng.uniform(0.3, 2.0, n)),
             tuple(rng.uniform(0.3, 2.0, n)),
             tuple(rng.uniform(-3.0, 3.0, n)),
-            enforce_normalization=False,
         )
         s = system.sums
         assume(abs(s.s_a2) > 0.05 * s.s_a2_scale and abs(s.s_b2) > 0.05 * s.s_b2_scale)
@@ -357,9 +451,7 @@ class TestReduction:
             de = np.concatenate([np.zeros(n_res), rng.uniform(0.5, 3.0, n_off)])
             de[n_res:] *= rng.choice([-1.0, 1.0], n_off)
             order = rng.permutation(n_res + n_off)
-            full = MultiLambdaSystem(
-                tuple(al[order]), tuple(be[order]), tuple(de[order]), enforce_normalization=False
-            )
+            full = MultiLambdaSystem(tuple(al[order]), tuple(be[order]), tuple(de[order]))
             pairs.append((full, reduce_degenerate(full)[0]))
         by_dimension: dict[int, list[MultiLambdaSystem]] = {}
         for system in [s for pair in pairs for s in pair]:
@@ -483,8 +575,8 @@ class TestCrossingEstimate:
 
     def test_xi_scales_with_squared_couplings(self):
         # S_ab^2 and S_a2 S_b2 once overflowed at couplings 1e100: inf/inf = NaN
-        base = MultiLambdaSystem((1.0,), (2.0,), (1.0,), enforce_normalization=False)
-        scaled = MultiLambdaSystem((1e100,), (2e100,), (1.0,), enforce_normalization=False)
+        base = MultiLambdaSystem((1.0,), (2.0,), (1.0,))
+        scaled = MultiLambdaSystem((1e100,), (2e100,), (1.0,))
         pul = pulses(30.0)
         assert lz_estimate(scaled, pul).xi == pytest.approx(
             1e200 * lz_estimate(base, pul).xi, rel=1e-12
@@ -518,7 +610,6 @@ class TestCrossingEstimate:
                 tuple(10.0**a for a, _, _, _ in terms),
                 tuple(10.0**b for _, b, _, _ in terms),
                 tuple(sign * 10.0**d for _, _, d, sign in terms),
-                enforce_normalization=False,
             )
             pul = PulsePair(omega0, width, 10.0**log_ratio * width)
         except ValueError:

@@ -189,6 +189,18 @@ class TestAnalyze:
         assert "no-transfer windows" in proc.stdout
         assert "[-1.3, -0.7]" in proc.stdout
 
+    @pytest.mark.parametrize("detunings", ["1, 1.5", "1e163, 1.5e163"])
+    def test_verdict_independent_of_detuning_scale(self, tmp_path, detunings):
+        # at 1e163 delta_1 delta_2 overflowed and S_a2 S_b2 underflowed: the
+        # report said "zero eigenvalue: simple" and "does not exist"
+        (tmp_path / "run.conf").write_text(
+            SINGLE_RUN.replace("detunings = 0.5, 1.5", f"detunings = {detunings}")
+        )
+        proc = run_cli("analyze", "run.conf", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "zero eigenvalue: none\n" in proc.stdout
+        assert "transfer state: exists (general)" in proc.stdout
+
 
 class TestPresets:
     def test_list(self, tmp_path):
@@ -249,6 +261,16 @@ class TestExitCodes:
         proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: config: propagation window [200, 45] is empty")
+
+    @pytest.mark.parametrize(
+        ("old", "new"), [("alphas = 1, 2", "alphas = 2, 1"), ("betas = 1, 0.5", "betas = 1.5, 1")]
+    )
+    def test_unnormalized_first_coupling_pair_is_2(self, tmp_path, old, new):
+        (tmp_path / "bad.conf").write_text(SINGLE_RUN.replace(old, new))
+        proc = run_cli("analyze", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: config: first coupling pair must be normalized to 1\n"
+        assert proc.stdout == ""
 
     def test_overflowing_detuning_sums_are_2(self, tmp_path):
         # delta_1 delta_2 underflows to zero: once a ZeroDivisionError, exit 1

@@ -67,6 +67,16 @@ def test_no_single_field_public_dataclass():
             assert len(dataclasses.fields(obj)) != 1, name
 
 
+def test_no_public_switch_field():
+    # An init field that equality ignores is a construction-mode flag riding
+    # on a value; every init field of an exported dataclass must compare.
+    for name in multilambda.__all__:
+        obj = getattr(multilambda, name)
+        if dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                assert f.compare or not f.init, f"{name}.{f.name}"
+
+
 def test_earlier_exports_kept():
     assert len(EARLIER_NAMES) == 74
     assert EARLIER_NAMES - REMOVED_NAMES <= set(multilambda.__all__)
