@@ -82,14 +82,14 @@ def _classify_off_resonant(system: MultiLambdaSystem) -> AtClassification:
             Regime.OFF_RESONANT, ZeroEigenvalue.DOUBLE, AtState.NOT_EXISTS,
             "double-zero-eigenvalue",
         )
-    zero = ZeroEigenvalue.SIMPLE if s.residual_is_zero() else ZeroEigenvalue.NONE
+    zero = ZeroEigenvalue.SIMPLE if s.residual.is_zero() else ZeroEigenvalue.NONE
     if system.is_proportional():
         return AtClassification(
             Regime.OFF_RESONANT, zero, AtState.EXISTS_DARK, "proportional-dark-state"
         )
-    if s.a2_is_zero():
+    if s.a2.is_zero():
         return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "pump-sum-zero")
-    if s.b2_is_zero():
+    if s.b2.is_zero():
         return AtClassification(Regime.OFF_RESONANT, zero, AtState.NOT_EXISTS, "stokes-sum-zero")
 
     state = AtState.EXISTS_GENERAL if s.crossing() else AtState.NOT_EXISTS
@@ -107,7 +107,7 @@ def _classify_off_resonant(system: MultiLambdaSystem) -> AtClassification:
 
 
 def _classify_single_resonant(system: MultiLambdaSystem, n: int) -> AtClassification:
-    simple = system.sums.bracket_is_zero(system.alphas[n], system.betas[n])
+    simple = system.sums.bracket(system.alphas[n], system.betas[n]).is_zero()
     zero = ZeroEigenvalue.SIMPLE if simple else ZeroEigenvalue.NONE
     # A transfer path through the resonant state exists unconditionally;
     # it is dark exactly when the couplings are proportional.
@@ -290,12 +290,12 @@ def adiabatic_eliminate(
     """
     resonant = system.resonant_indices()
     wp, ws = pulses.values(t)
-    s = system.sums
+    sa, sb, sab = float(system.sums.a2), float(system.sums.b2), float(system.sums.ab)
     if len(resonant) == 0:
         return np.array(
             [
-                [wp * wp * s.s_a2, wp * ws * s.s_ab],
-                [wp * ws * s.s_ab, ws * ws * s.s_b2],
+                [wp * wp * sa, wp * ws * sab],
+                [wp * ws * sab, ws * ws * sb],
             ]
         )
     if len(resonant) == 1:
@@ -304,9 +304,9 @@ def adiabatic_eliminate(
         bn = system.betas[n]
         return np.array(
             [
-                [wp * wp * s.s_a2, an * wp, wp * ws * s.s_ab],
+                [wp * wp * sa, an * wp, wp * ws * sab],
                 [an * wp, 0.0, bn * ws],
-                [wp * ws * s.s_ab, bn * ws, ws * ws * s.s_b2],
+                [wp * ws * sab, bn * ws, ws * ws * sb],
             ]
         )
     raise WrongResonanceCount("elimination handles zero or one resonant state")
@@ -365,7 +365,7 @@ def lz_estimate(system: MultiLambdaSystem, pulses: PulsePair) -> LzEstimate:
     if not system.sums.crossing():
         raise NoCrossing("effective detuning does not cross zero")
     # The sums as value * 2**exp, so none has under- or overflowed.
-    a2, b2, ab, _ = system.sums.unit
+    a2, b2, ab = system.sums.a2, system.sums.b2, system.sums.ab
     T = pulses.width
     tau = pulses.delay
     log_ratio = _ln_ratio(b2.value, a2.value, b2.exp - a2.exp)

@@ -15,6 +15,9 @@ Basis ordering everywhere in this package: ``(i, 1, ..., N, f)``, so a state
 is a plain complex array of N+2 amplitudes.  Intermediate-state indices in
 function signatures are 0-based positions into ``alphas``/``betas``/
 ``detunings``.
+
+The detuning sums behind every verdict are :class:`SSums`, each held once in
+a scaled form; ``float()`` gives the plain value.
 """
 
 from __future__ import annotations
@@ -194,94 +197,73 @@ class _Scaled(NamedTuple):
             scale += math.ldexp(bound, e - exp)
         return cls(value, scale, exp)
 
-    def plain(self) -> tuple[float, float]:
-        """The sum and its scale as floats, infinite where they overflow."""
-        return _ldexp(self.value, self.exp), _ldexp(self.scale, self.exp)
+    def __float__(self) -> float:
+        return _ldexp(self.value, self.exp)
+
+    def ratio(self, other: "_Scaled") -> float:
+        """This sum over ``other``, also where either alone under- or overflows."""
+        return _ldexp(self.value / other.value, self.exp - other.exp)
+
+    def is_finite(self) -> bool:
+        """The sum of the terms' magnitudes is a finite float."""
+        return math.isfinite(_ldexp(self.scale, self.exp))
 
     def is_zero(self) -> bool:
         return abs(self.value) <= _ZERO_RTOL * self.scale
 
 
-class _Sums(NamedTuple):
-    """S_a2, S_b2, S_ab and the pair residual S_a2 S_b2 - S_ab^2."""
+@dataclass(frozen=True)
+class SSums:
+    """Weighted detuning sums S_a2, S_b2, S_ab and the pair residual.
+
+    ``a2`` sums alpha_k^2/delta_k, ``b2`` sums beta_k^2/delta_k, ``ab`` sums
+    alpha_k*beta_k/delta_k and ``residual`` is S_a2*S_b2 - S_ab^2; off
+    resonance H has a zero eigenvalue iff it vanishes.  Each is held once,
+    scaled so that it neither under- nor overflows: ``float()`` gives the
+    plain sum, ``is_zero()`` tests it relative to its terms' magnitudes, and
+    every zero and sign test is made on the scaled form, so no verdict
+    depends on the scale of the couplings or of the detunings.  A system's
+    own sums are ``MultiLambdaSystem.sums``.
+    """
 
     a2: _Scaled
     b2: _Scaled
     ab: _Scaled
     residual: _Scaled
 
-
-def _sums(terms) -> _Sums:
-    """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero.
-
-    Each number is split by ``math.frexp`` into a mantissa m and an exponent
-    e, and each sum is formed from the mantissas, so nothing under- or
-    overflows.  A power-of-two scaling is exact, so wherever the plain sums
-    neither under- nor overflow, the sums times 2**exp are the plain sums
-    bit for bit.  The residual sums the pairs k < l of Lagrange's identity,
-    (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l).
-    """
-    parts = [math.frexp(a) + math.frexp(b) + math.frexp(d) for a, b, d in terms]
-    a2, b2, ab, pairs = [], [], [], []
-    for ma, ea, mb, eb, md, ed in parts:
-        x, y, z = ma * ma / md, mb * mb / md, ma * mb / md
-        a2.append((x, abs(x), 2 * ea - ed))
-        b2.append((y, abs(y), 2 * eb - ed))
-        ab.append((z, abs(z), ea + eb - ed))
-    for k, (mak, eak, mbk, ebk, mdk, edk) in enumerate(parts):
-        for mal, eal, mbl, ebl, mdl, edl in parts[k + 1 :]:
-            # alpha_k beta_l and alpha_l beta_k, both times 2**-top
-            p, q, shift = mak * mbl, mal * mbk, eak + ebl - eal - ebk
-            if shift < 0:
-                p, top = math.ldexp(p, shift), eal + ebk
-            else:
-                q, top = math.ldexp(q, -shift), eak + ebl
-            minor, bound, dd = p - q, p + q, mdk * mdl
-            pairs.append((minor * minor / dd, bound * bound / abs(dd), 2 * top - edk - edl))
-    return _Sums(_Scaled.of(a2), _Scaled.of(b2), _Scaled.of(ab), _Scaled.of(pairs))
-
-
-@dataclass(frozen=True)
-class SSums:
-    """Weighted detuning sums S_a2, S_b2, S_ab, and the one zero test on them.
-
-    ``s_a2`` sums alpha_k^2/delta_k, ``s_b2`` sums beta_k^2/delta_k and
-    ``s_ab`` sums alpha_k*beta_k/delta_k.  ``residual`` is
-    S_a2*S_b2 - S_ab^2; off resonance H has a zero eigenvalue iff it
-    vanishes.  The ``*_scale`` fields hold the corresponding sums of term
-    magnitudes.  ``unit`` holds the four sums and scales as they are summed,
-    from the binary mantissas and exponents of the couplings and detunings:
-    each times its own 2**-exp, so that none has under- or overflowed.  The
-    plain fields are ``unit`` times 2**exp, infinite where that overflows
-    and rounded to zero or a subnormal where it underflows.  Every test that a
-    sum, the residual, the bracket or the product S_a2 S_b2 vanishes, and
-    every sign test, is made here on ``unit``, relative to the sum of the
-    terms' magnitudes, so no verdict depends on the scale of the couplings
-    or of the detunings.  A system's own sums are ``MultiLambdaSystem.sums``.
-    """
-
-    s_a2: float
-    s_b2: float
-    s_ab: float
-    s_a2_scale: float
-    s_b2_scale: float
-    s_ab_scale: float
-    residual: float
-    residual_scale: float
-    unit: _Sums = field(repr=False)
-
     @classmethod
     def over(cls, terms) -> "SSums":
         """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero.
 
-        The residual and its scale are sums over pairs k < l, so the
-        alpha_k^2 beta_k^2/delta_k^2 terms, which cancel exactly in the
-        product of sums, never appear and a near-resonant delta_k costs no
-        precision.
+        A non-finite term raises ValueError, a zero delta_k ZeroDetuningInSum.
+        Power-of-two scaling is exact, so ``float()`` of each sum is the plain
+        sum in term order wherever that neither under- nor overflows.  The
+        residual sums (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l)
+        over pairs k < l (Lagrange's identity), so a near-resonant delta_k
+        costs it no precision.
         """
-        unit = _sums(terms)
-        (sa, sa_m), (sb, sb_m), (sab, sab_m), (res, res_m) = (x.plain() for x in unit)
-        return cls(sa, sb, sab, sa_m, sb_m, sab_m, res, res_m, unit)
+        parts = [math.frexp(a) + math.frexp(b) + math.frexp(d) for a, b, d in terms]
+        if not all(map(math.isfinite, (m for p in parts for m in p[::2]))):
+            raise ValueError("detuning-sum terms must be finite")
+        if any(md == 0.0 for *_, md, _ in parts):
+            raise ZeroDetuningInSum("a detuning sum divides by each detuning")
+        a2, b2, ab, pairs = [], [], [], []
+        for ma, ea, mb, eb, md, ed in parts:
+            x, y, z = ma * ma / md, mb * mb / md, ma * mb / md
+            a2.append((x, abs(x), 2 * ea - ed))
+            b2.append((y, abs(y), 2 * eb - ed))
+            ab.append((z, abs(z), ea + eb - ed))
+        for k, (mak, eak, mbk, ebk, mdk, edk) in enumerate(parts):
+            for mal, eal, mbl, ebl, mdl, edl in parts[k + 1 :]:
+                # alpha_k beta_l and alpha_l beta_k, both times 2**-top
+                p, q, shift = mak * mbl, mal * mbk, eak + ebl - eal - ebk
+                if shift < 0:
+                    p, top = math.ldexp(p, shift), eal + ebk
+                else:
+                    q, top = math.ldexp(q, -shift), eak + ebl
+                minor, bound, dd = p - q, p + q, mdk * mdl
+                pairs.append((minor * minor / dd, bound * bound / abs(dd), 2 * top - edk - edl))
+        return cls(_Scaled.of(a2), _Scaled.of(b2), _Scaled.of(ab), _Scaled.of(pairs))
 
     def is_finite(self) -> bool:
         """Every term magnitude sum, the pair residual's included, is a finite float.
@@ -290,40 +272,24 @@ class SSums:
         beyond the largest float, not under- or overflowing intermediate
         products such as alpha_k^2 or delta_k delta_l.
         """
-        scales = (self.s_a2_scale, self.s_b2_scale, self.s_ab_scale, self.residual_scale)
-        return all(map(math.isfinite, scales))
-
-    def a2_is_zero(self) -> bool:
-        return self.unit.a2.is_zero()
-
-    def b2_is_zero(self) -> bool:
-        return self.unit.b2.is_zero()
-
-    def ab_is_zero(self) -> bool:
-        return self.unit.ab.is_zero()
+        return all(s.is_finite() for s in (self.a2, self.b2, self.ab, self.residual))
 
     def all_zero(self) -> bool:
         """All three sums vanish: the zero eigenvalue is twofold degenerate."""
-        return self.a2_is_zero() and self.b2_is_zero() and self.ab_is_zero()
+        return self.a2.is_zero() and self.b2.is_zero() and self.ab.is_zero()
 
-    def residual_is_zero(self) -> bool:
-        return self.unit.residual.is_zero()
-
-    def bracket(self, a: float, b: float) -> float:
+    def bracket(self, a: float, b: float) -> _Scaled:
         """a^2 S_b2 - 2ab S_ab + b^2 S_a2: with ``a``, ``b`` the couplings of the
         one resonant state and the sums taken without it, the single-resonance
         zero-eigenvalue expression.
         """
-        return a * a * self.s_b2 - 2.0 * a * b * self.s_ab + b * b * self.s_a2
-
-    def bracket_is_zero(self, a: float, b: float) -> bool:
         (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
-        a2, b2, ab, _ = self.unit
         return _Scaled.of([
-            (ma * ma * b2.value, ma * ma * b2.scale, 2 * ea + b2.exp),
-            (-2.0 * ma * mb * ab.value, 2.0 * abs(ma * mb) * ab.scale, ea + eb + ab.exp),
-            (mb * mb * a2.value, mb * mb * a2.scale, 2 * eb + a2.exp),
-        ]).is_zero()
+            (ma * ma * self.b2.value, ma * ma * self.b2.scale, 2 * ea + self.b2.exp),
+            (-2.0 * ma * mb * self.ab.value, 2.0 * abs(ma * mb) * self.ab.scale,
+             ea + eb + self.ab.exp),
+            (mb * mb * self.a2.value, mb * mb * self.a2.scale, 2 * eb + self.a2.exp),
+        ])
 
     def crossing(self) -> bool:
         """The off-resonant transfer rule: S_a2 and S_b2 nonzero with one sign.
@@ -333,7 +299,7 @@ class SSums:
         sequence, so a transfer state exists and the avoided crossing is
         defined.
         """
-        a2, b2 = self.unit.a2, self.unit.b2
+        a2, b2 = self.a2, self.b2
         return not a2.is_zero() and not b2.is_zero() and (a2.value > 0) == (b2.value > 0)
 
     def crossing_is_marginal(self) -> bool:
@@ -342,8 +308,7 @@ class SSums:
         scales is below the zero tolerance, so the system sits on an
         existence-window boundary.
         """
-        a2, b2 = self.unit.a2, self.unit.b2
-        return abs(a2.value * b2.value) < _ZERO_RTOL * a2.scale * b2.scale
+        return abs(self.a2.value * self.b2.value) < _ZERO_RTOL * self.a2.scale * self.b2.scale
 
 
 def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray:

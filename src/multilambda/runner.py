@@ -137,8 +137,8 @@ def format_csv(rows: list[ScanRow]) -> str:
 def _sums_line(system: MultiLambdaSystem) -> str:
     if system.resonant_indices():
         return "detuning sums: undefined (resonant state present)"
-    s = system.sums
-    return f"detuning sums: pump {s.s_a2:.6g}, stokes {s.s_b2:.6g}, cross {s.s_ab:.6g}"
+    pump, stokes, cross = (float(x) for x in (system.sums.a2, system.sums.b2, system.sums.ab))
+    return f"detuning sums: pump {pump:.6g}, stokes {stokes:.6g}, cross {cross:.6g}"
 
 
 def _at_line(outcome: AtClassification) -> str:

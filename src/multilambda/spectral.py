@@ -57,13 +57,14 @@ number of steps matched one at a time.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import AmbiguousTracking, DegenerateSums, NonSymmetricInput, WrongResonanceCount
-from .model import MultiLambdaSystem, PulsePair, build_hamiltonian
+from .model import MultiLambdaSystem, PulsePair, _Scaled, build_hamiltonian
 
 _log = logging.getLogger(__name__)
 
@@ -365,26 +366,29 @@ def asymptotic_eigenvalues(
     vanish: a small one quadratic in the weak envelope and the symmetric
     pair ``-/+ beta_n omega_s`` early, ``-/+ alpha_n omega_p`` late; the
     bracket combines the detuning sums taken without n.  Two or more
-    resonant states raise WrongResonanceCount.
+    resonant states raise WrongResonanceCount.  The small eigenvalue is a
+    ratio of scaled sums, so it survives a residual or bracket that underflows.
     """
     resonant = system.resonant_indices()
     if len(resonant) > 1:
         raise WrongResonanceCount("asymptotics handle zero or one resonant state")
     s = system.sums
+    early = side is Side.EARLY
+    weak, strong = (omega_p, omega_s) if early else (omega_s, omega_p)
     if not resonant:
-        res = s.residual
-        if side is Side.EARLY:
-            if s.b2_is_zero():
-                raise DegenerateSums("S_b2 vanishes; early asymptotics undefined")
-            return AsymptoticEigenvalues(-res / s.s_b2 * omega_p**2, (-s.s_b2 * omega_s**2,))
-        if s.a2_is_zero():
-            raise DegenerateSums("S_a2 vanishes; late asymptotics undefined")
-        return AsymptoticEigenvalues(-res / s.s_a2 * omega_s**2, (-s.s_a2 * omega_p**2,))
+        den = s.b2 if early else s.a2
+        if den.is_zero():
+            name = "S_b2" if early else "S_a2"
+            raise DegenerateSums(f"{name} vanishes; {side.value} asymptotics undefined")
+        return AsymptoticEigenvalues(_small(s.residual, den, weak), (-float(den) * strong**2,))
     n = resonant[0]
     an, bn = system.alphas[n], system.betas[n]
-    bracket = s.bracket(an, bn)
-    if side is Side.EARLY:
-        return AsymptoticEigenvalues(
-            -bracket / (bn * bn) * omega_p**2, (-bn * omega_s, bn * omega_s)
-        )
-    return AsymptoticEigenvalues(-bracket / (an * an) * omega_s**2, (-an * omega_p, an * omega_p))
+    c = bn if early else an
+    m, e = math.frexp(c)
+    small = _small(s.bracket(an, bn), _Scaled(m * m, m * m, 2 * e), weak)
+    return AsymptoticEigenvalues(small, (-c * strong, c * strong))
+
+
+def _small(num: _Scaled, den: _Scaled, weak: float) -> float:
+    """The small vanishing eigenvalue -num/den weak^2."""
+    return -num.ratio(den) * weak**2

@@ -105,7 +105,7 @@ class TestSystem:
 
     def test_tiny_finite_detuning_sums_accepted(self):
         system = MultiLambdaSystem((1, 1), (1, 2), (1e-300, 1.5))
-        assert math.isfinite(system.sums.residual)
+        assert math.isfinite(float(system.sums.residual))
 
     def test_resonance_detection_is_exact(self):
         assert RES_DARK.resonant_indices() == (0,)
@@ -134,7 +134,7 @@ class TestStates:
         wp, ws = pul.values(0.0)
         states = (
             dark_state(DARK3, pul, 0.0),
-            zero_eigvec_amplitudes(TRANSFER, pul, 0.0, s.s_ab * ws, -s.s_a2 * wp),
+            zero_eigvec_amplitudes(TRANSFER, pul, 0.0, float(s.ab) * ws, -float(s.a2) * wp),
         )
         for amps in states:
             assert isinstance(amps, np.ndarray)
@@ -193,23 +193,57 @@ class TestHamiltonian:
 class TestSums:
     def test_linked_sums_by_hand(self):
         s = LINKED.sums
-        assert s.s_a2 == pytest.approx(14 / 3, rel=1e-15)
-        assert s.s_b2 == pytest.approx(13 / 6, rel=1e-15)
-        assert s.s_ab == pytest.approx(8 / 3, rel=1e-15)
+        assert float(s.a2) == pytest.approx(14 / 3, rel=1e-15)
+        assert float(s.b2) == pytest.approx(13 / 6, rel=1e-15)
+        assert float(s.ab) == pytest.approx(8 / 3, rel=1e-15)
         # all terms positive: scale equals the sum itself
-        assert s.s_a2_scale == pytest.approx(s.s_a2)
-        assert not (s.a2_is_zero() or s.b2_is_zero() or s.ab_is_zero())
+        assert s.a2.scale == pytest.approx(s.a2.value)
+        assert not (s.a2.is_zero() or s.b2.is_zero() or s.ab.is_zero())
 
     def test_cancellation_tracked_by_scale(self):
         s = BROKEN.sums
-        assert s.s_ab == pytest.approx(0.0, abs=1e-15)
-        assert s.s_ab_scale == pytest.approx(4.0)
-        assert s.ab_is_zero()
+        assert float(s.ab) == pytest.approx(0.0, abs=1e-15)
+        assert math.ldexp(s.ab.scale, s.ab.exp) == pytest.approx(4.0)
+        assert s.ab.is_zero()
 
     def test_exclusion(self):
         s = RES_DARK.sums
-        assert s.s_a2 == pytest.approx(0.25)
-        assert s.s_b2 == pytest.approx(0.25)
+        assert float(s.a2) == pytest.approx(0.25)
+        assert float(s.b2) == pytest.approx(0.25)
+
+    def test_over_refuses_what_it_cannot_sum(self):
+        with pytest.raises(ZeroDetuningInSum):
+            SSums.over([(1.0, 1.0, 0.0)])
+        for term in ((1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (math.nan, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SSums.over([(2.0, 0.5, 1.5), term])
+
+    def test_float_is_the_plain_sum_bit_for_bit(self):
+        # A power-of-two scaling is exact, so where nothing under- or
+        # overflows, float() of each scaled sum is the plain sum in term order.
+        def plain(xs):
+            total = 0.0
+            for x in xs:
+                total += x
+            return total
+
+        rng = np.random.default_rng(2019)
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            al, be = rng.uniform(0.1, 10.0, n).tolist(), rng.uniform(0.1, 10.0, n).tolist()
+            de = (rng.uniform(0.1, 10.0, n) * rng.choice([-1.0, 1.0], n)).tolist()
+            a, b = rng.uniform(0.1, 10.0, 2).tolist()
+            s = SSums.over(zip(al, be, de))
+            sa = plain(x * x / d for x, d in zip(al, de))
+            sb = plain(y * y / d for y, d in zip(be, de))
+            sab = plain(x * y / d for x, y, d in zip(al, be, de))
+            res = plain(
+                (al[k] * be[l] - al[l] * be[k]) * (al[k] * be[l] - al[l] * be[k]) / (de[k] * de[l])
+                for k in range(n) for l in range(k + 1, n)
+            )
+            assert (float(s.a2), float(s.b2), float(s.ab)) == (sa, sb, sab)
+            assert float(s.residual) == res
+            assert float(s.bracket(a, b)) == a * a * sb - 2.0 * a * b * sab + b * b * sa
 
     def test_resonant_term_left_out(self):
         # the sums of a single resonance run over the off-resonant states only
@@ -230,24 +264,24 @@ class TestSums:
         # 14/3 * 13/6 - (8/3)^2 = 3 by hand, and (1*0.5 - 2*1)^2/(0.5*1.5) = 3
         # as the one pair term
         s = LINKED.sums
-        assert s.residual == pytest.approx(3.0, rel=1e-15)
-        assert not s.residual_is_zero()
-        assert TRANSFER.sums.residual_is_zero()
+        assert float(s.residual) == pytest.approx(3.0, rel=1e-15)
+        assert not s.residual.is_zero()
+        assert TRANSFER.sums.residual.is_zero()
         # one state: no pairs, so the residual is exactly zero (dark state)
-        assert MultiLambdaSystem((1,), (1,), (0.7,)).sums.residual == 0.0
+        assert float(MultiLambdaSystem((1,), (1,), (0.7,)).sums.residual) == 0.0
         dark = RES_DARK.sums
-        assert dark.bracket(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert dark.bracket_is_zero(1.0, 1.0)
+        assert float(dark.bracket(1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
+        assert dark.bracket(1.0, 1.0).is_zero()
         general = RES_GENERAL.sums
-        assert general.bracket(1.0, 1.0) == pytest.approx(2.25, rel=1e-15)
-        assert not general.bracket_is_zero(1.0, 1.0)
+        assert float(general.bracket(1.0, 1.0)) == pytest.approx(2.25, rel=1e-15)
+        assert not general.bracket(1.0, 1.0).is_zero()
 
 
 class TestDeterminants:
     def test_dual_routes_agree_offres(self):
         # the paper's sum form: omega_p^2 omega_s^2 prod Delta (S_a2 S_b2 - S_ab^2)
         for sys_ in (LINKED, BROKEN, DARK3, TRANSFER):
-            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings) * sys_.sums.residual
+            a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings) * float(sys_.sums.residual)
             b = det_closed_form(sys_, 0.7, 0.4)
             nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
             assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
@@ -256,7 +290,7 @@ class TestDeterminants:
     def test_dual_routes_agree_single_res(self):
         # the paper's sum form with state 0 resonant: the bracket over the rest
         for sys_ in (RES_DARK, RES_GENERAL):
-            bracket = sys_.sums.bracket(sys_.alphas[0], sys_.betas[0])
+            bracket = float(sys_.sums.bracket(sys_.alphas[0], sys_.betas[0]))
             a = 0.7**2 * 0.4**2 * math.prod(sys_.detunings[1:]) * bracket
             b = det_closed_form(sys_, 0.7, 0.4)
             nd = np.linalg.det(build_hamiltonian(sys_, 0.7, 0.4))
@@ -352,7 +386,7 @@ class TestNullVectors:
         s = TRANSFER.sums
         for t in (-10.0, 0.0, 5.0):
             wp, ws = pul.values(t)
-            v = zero_eigvec_amplitudes(TRANSFER, pul, t, s.s_ab * ws, -s.s_a2 * wp)
+            v = zero_eigvec_amplitudes(TRANSFER, pul, t, float(s.ab) * ws, -float(s.a2) * wp)
             h = build_hamiltonian(TRANSFER, wp, ws)
             assert np.linalg.norm(h @ v) <= 1e-12 * np.linalg.norm(h)
             assert np.linalg.norm(v) == pytest.approx(1.0)

@@ -46,6 +46,15 @@ REMOVED_NAMES = {
     "s_sums", "StateVector",
 }
 
+# Members of ``SSums`` deleted when each sum came to be held once, in its
+# scaled form: the plain copies of the sums and of their scales, the tuple
+# that held the scaled ones, and the wrappers that restated a field's
+# ``is_zero()`` (``bracket`` now returns the scaled bracket).
+REMOVED_MEMBERS = {
+    "s_a2", "s_b2", "s_ab", "s_a2_scale", "s_b2_scale", "s_ab_scale", "residual_scale",
+    "unit", "a2_is_zero", "b2_is_zero", "ab_is_zero", "residual_is_zero", "bracket_is_zero",
+}
+
 
 def test_every_module_export_is_a_package_attribute():
     for module in MODULES:
@@ -82,3 +91,11 @@ def test_earlier_exports_kept():
     assert EARLIER_NAMES - REMOVED_NAMES <= set(multilambda.__all__)
     assert not REMOVED_NAMES & set(multilambda.__all__)
     assert "write_csv" not in multilambda.__all__
+
+
+def test_removed_members_stay_removed():
+    sums = multilambda.MultiLambdaSystem((1, 2), (1, 0.5), (0.5, 1.5)).sums
+    members = set(dir(sums))
+    assert not REMOVED_MEMBERS & members
+    assert not {name for name in members if name.endswith("_scale")}
+    assert [f.name for f in dataclasses.fields(sums)] == ["a2", "b2", "ab", "residual"]

@@ -33,6 +33,7 @@ from cases import (
     LINKED,
     PUMP_BLOCKED,
     RES_DARK,
+    RES_GENERAL,
     TRANSFER,
     pulses,
 )
@@ -533,3 +534,25 @@ class TestAsymptotics:
     def test_single_resonance_required(self):
         with pytest.raises(WrongResonanceCount):
             asymptotic_eigenvalues(DEGEN_NONPROP_2, 0.5, 0.5, Side.EARLY)
+
+    @pytest.mark.parametrize("factor", [1e-100, 1e-150])
+    @pytest.mark.parametrize("side", [Side.EARLY, Side.LATE])
+    @pytest.mark.parametrize("system", [LINKED, BROKEN, RES_GENERAL], ids=["linked", "broken", "res"])
+    def test_tail_eigenvalues_follow_tiny_couplings(self, system, side, factor):
+        # Couplings times f: the small eigenvalue scales by f^2, the large
+        # ones by f^2 off resonance and by f for the resonance pair.  The
+        # residual and the bracket scale by f^4 and underflow to zero here,
+        # where they once made the small eigenvalue -0.0.
+        wp, ws = (0.01, 0.5) if side is Side.EARLY else (0.5, 0.01)
+        scaled = MultiLambdaSystem(
+            tuple(a * factor for a in system.alphas),
+            tuple(b * factor for b in system.betas),
+            system.detunings,
+        )
+        ref = asymptotic_eigenvalues(system, wp, ws, side)
+        got = asymptotic_eigenvalues(scaled, wp, ws, side)
+        assert ref.small != 0.0
+        # abs=0: pytest.approx's default absolute tolerance dwarfs these values
+        assert got.small == pytest.approx(ref.small * factor**2, rel=1e-12, abs=0.0)
+        f = factor if system.resonant_indices() else factor**2
+        assert got.large == pytest.approx(tuple(x * f for x in ref.large), rel=1e-12, abs=0.0)
