@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NoCrossing, NotProportional, PreconditionViolated, WrongResonanceCount
+from .errors import NoCrossing, PreconditionViolated
 from .model import MultiLambdaSystem, PulsePair
 
 __all__ = [
@@ -194,9 +194,10 @@ def at_window_boundaries(
     [lo, hi], sorted ascending; between consecutive boundaries (and poles)
     the existence verdict is constant.  With proportional couplings the two
     sums share their roots, which are found once: two rounded copies of one
-    root would bound a spurious window a few ulps wide.
+    root would bound a spurious window a few ulps wide.  The range must
+    satisfy lo < hi; infinite endpoints are allowed, NaN ones are not.
     """
-    if lo >= hi:
+    if not lo < hi:
         raise ValueError("empty detuning range")
     couplings = (system.alphas,) if system.is_proportional() else (system.alphas, system.betas)
     # Scaling all weights of one sum together leaves its roots unchanged, so
@@ -215,8 +216,11 @@ def no_at_intervals(
     """Sub-intervals of the common-detuning range with no transfer state.
 
     Breakpoints are the window boundaries plus the sum poles; each open
-    piece is probed at its midpoint and adjacent failing pieces are merged.
+    piece is probed at its midpoint and adjacent failing pieces are merged,
+    so both endpoints must be finite.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("detuning range must be finite")
     boundaries = at_window_boundaries(system, lo, hi)
     poles = sorted({-d for d in system.detunings if lo <= -d <= hi})
     points = sorted({lo, hi, *boundaries, *poles})
@@ -248,9 +252,7 @@ def reduce_degenerate(system: MultiLambdaSystem) -> tuple[MultiLambdaSystem, flo
     if len(resonant) == 0:
         raise PreconditionViolated("no resonant states to reduce")
     if not system.is_proportional(indices=resonant):
-        raise NotProportional(
-            "resonant couplings are not proportional; no reduction exists"
-        )
+        raise PreconditionViolated("resonant couplings are not proportional; no reduction exists")
     first = resonant[0]
     a1 = system.alphas[first]
     # The couplings over a power of two near the largest, exactly, so no
@@ -309,7 +311,7 @@ def adiabatic_eliminate(
                 [wp * ws * sab, bn * ws, ws * ws * sb],
             ]
         )
-    raise WrongResonanceCount("elimination handles zero or one resonant state")
+    raise PreconditionViolated("elimination handles zero or one resonant state")
 
 
 _LN2 = math.log(2.0)

@@ -43,7 +43,6 @@ from .errors import (
     PreconditionViolated,
     ToleranceNotMet,
     ValidationError,
-    ZeroDetuningInSum,
 )
 from .model import (
     MultiLambdaSystem,
@@ -630,29 +629,31 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
     population oscillates between them, and the final transfer is cos^2 of
     the mixing angle weighted by the second state's normalization factor,
     integrated by adaptive quadrature over the pulse pair's default window.
-    For the Gaussian pair the mixing angle, tan(theta) = omega_p/omega_s,
-    turns at the rate (4 delay/width^2) omega_p omega_s/(omega_p^2 + omega_s^2).
+    For the Gaussian pair the mixing angle, tan(theta) = omega_p/omega_s =
+    exp(rate t) with rate = 4 delay/width^2, turns at rate/(2 cosh(rate t))
+    whatever omega0 is, so the prediction does not depend on omega0 where
+    omega_p^2 + omega_s^2 underflows.  With omega0 = 0 no state is trapped.
     """
     from scipy.integrate import quad  # SciPy's import cost is paid only here
 
     resonant = system.resonant_indices()
     if resonant:
-        raise ZeroDetuningInSum(f"detuning of intermediate state {resonant[0]} is exactly zero")
+        raise PreconditionViolated(f"detuning of intermediate state {resonant[0]} is exactly zero")
     if not system.is_proportional():
         raise PreconditionViolated("couplings must be proportional")
     if not system.sums.all_zero():
         raise PreconditionViolated("all detuning sums must vanish")
+    if pulses.omega0 == 0.0:
+        raise PreconditionViolated("both envelopes vanish")
     q = sum(a * a / (d * d) for a, d in zip(system.alphas, system.detunings))
     lo, hi = pulses.default_window()
     rate = 4.0 * pulses.delay / pulses.width**2
 
     def integrand(t: float) -> float:
         wp, ws = pulses.values(t)
-        w2 = wp * wp + ws * ws
-        if w2 == 0.0:
-            return 0.0
-        theta_dot = rate * wp * ws / w2
-        nu = 1.0 / math.sqrt(1.0 + w2 * q)
+        e = math.exp(-abs(rate * t))  # 1/(2 cosh x) = e^-|x|/(1 + e^-2|x|), no overflow
+        theta_dot = rate * e / (1.0 + e * e)
+        nu = 1.0 / math.sqrt(1.0 + (wp * wp + ws * ws) * q)
         return theta_dot * nu
 
     angle, _ = quad(integrand, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10)

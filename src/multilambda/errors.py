@@ -1,10 +1,13 @@
 """Exception hierarchy shared by all multilambda modules.
 
-Two umbrella categories matter for the command line tool: configuration
-problems (exit code 2) and numerical failures (exit code 3).  Everything
-else is a domain error raised when an operation is asked for a quantity
-that does not exist for the given system (for example detuning sums of a
-resonant system).
+There is one family per way a caller handles a failure.  ConfigError means
+the run description is wrong: fix the input (exit code 2 at the command
+line).  NumericalError means the machinery failed on valid input: change a
+tolerance or the grid (exit code 3).  PreconditionViolated means a formula
+was asked for outside the domain where it holds, for example a dark state
+of non-proportional couplings or detuning sums of a resonant system; its
+message names the condition.  Its one subclass, NoCrossing, is the refusal
+of the crossing-based estimate, which a scan reports as a reason instead.
 """
 
 __all__ = [
@@ -16,14 +19,8 @@ __all__ = [
     "ToleranceNotMet",
     "NormDriftExceeded",
     "AmbiguousTracking",
-    "ZeroDetuningInSum",
-    "BothEnvelopesZero",
-    "NonSymmetricInput",
-    "DegenerateSums",
-    "WrongResonanceCount",
-    "NotProportional",
-    "NoCrossing",
     "PreconditionViolated",
+    "NoCrossing",
 ]
 
 
@@ -71,33 +68,9 @@ class AmbiguousTracking(NumericalError):
     """Eigenvector continuation found no overlap above the safety threshold."""
 
 
-class ZeroDetuningInSum(MultiLambdaError):
-    """A detuning sum was requested while a contributing detuning is exactly zero."""
-
-
-class BothEnvelopesZero(MultiLambdaError):
-    """Pump and Stokes envelopes are both zero, so the requested state is undefined."""
-
-
-class NonSymmetricInput(MultiLambdaError):
-    """The eigensolver only accepts real symmetric matrices."""
-
-
-class DegenerateSums(MultiLambdaError):
-    """An asymptotic formula needs a detuning sum that vanishes."""
-
-
-class WrongResonanceCount(MultiLambdaError):
-    """The operation does not support this number of zero detunings."""
-
-
-class NotProportional(MultiLambdaError):
-    """Coupling ratios differ where proportionality is required."""
-
-
-class NoCrossing(MultiLambdaError):
-    """No level crossing exists, so the crossing-based estimate is undefined."""
-
-
 class PreconditionViolated(MultiLambdaError):
     """Inputs are outside the validity domain of the requested formula."""
+
+
+class NoCrossing(PreconditionViolated):
+    """No level crossing exists, so the crossing-based estimate is undefined."""

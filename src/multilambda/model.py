@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BothEnvelopesZero, ZeroDetuningInSum
+from .errors import PreconditionViolated
 
 __all__ = [
     "PulsePair",
@@ -235,7 +235,7 @@ class SSums:
     def over(cls, terms) -> "SSums":
         """The sums over ``(alpha_k, beta_k, delta_k)`` terms, every delta_k nonzero.
 
-        A non-finite term raises ValueError, a zero delta_k ZeroDetuningInSum.
+        A non-finite term raises ValueError, a zero delta_k PreconditionViolated.
         Power-of-two scaling is exact, so ``float()`` of each sum is the plain
         sum in term order wherever that neither under- nor overflows.  The
         residual sums (alpha_k beta_l - alpha_l beta_k)^2/(delta_k delta_l)
@@ -246,7 +246,7 @@ class SSums:
         if not all(map(math.isfinite, (m for p in parts for m in p[::2]))):
             raise ValueError("detuning-sum terms must be finite")
         if any(md == 0.0 for *_, md, _ in parts):
-            raise ZeroDetuningInSum("a detuning sum divides by each detuning")
+            raise PreconditionViolated("a detuning sum divides by each detuning")
         a2, b2, ab, pairs = [], [], [], []
         for ma, ea, mb, eb, md, ed in parts:
             x, y, z = ma * ma / md, mb * mb / md, ma * mb / md
@@ -373,13 +373,16 @@ def dark_state(system: MultiLambdaSystem, pulses: PulsePair, t: float) -> np.nda
     Hamiltonian at every instant; it connects ``i`` at early times to ``f``
     at late times through the counterintuitive pulse order.  For a system in
     customary normalization it reads (omega_s/Omega, 0, ..., -omega_p/Omega).
-    Returns the N+2 amplitudes as a read-only complex array.
+    Returns the N+2 amplitudes as a read-only complex array.  Couplings that
+    are not proportional have no such state and raise PreconditionViolated.
     """
+    if not system.is_proportional():
+        raise PreconditionViolated("couplings must be proportional")
     wp, ws = pulses.values(t)
     x = system.betas[0] * ws
     y = system.alphas[0] * wp
     if x == 0.0 and y == 0.0:
-        raise BothEnvelopesZero(f"both envelopes vanish at t={t}")
+        raise PreconditionViolated(f"both envelopes vanish at t={t}")
     nrm = math.hypot(x, y)
     amps = np.zeros(system.dimension, dtype=complex)
     amps[0] = x / nrm
@@ -404,7 +407,7 @@ def zero_eigvec_amplitudes(
     the zero-eigenvalue condition holds for the system.
     """
     if any(d == 0.0 for d in system.detunings):
-        raise ZeroDetuningInSum("intermediate amplitudes divide by each detuning")
+        raise PreconditionViolated("intermediate amplitudes divide by each detuning")
     wp, ws = pulses.values(t)
     al = np.asarray(system.alphas)
     be = np.asarray(system.betas)

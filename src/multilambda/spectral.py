@@ -63,7 +63,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AmbiguousTracking, DegenerateSums, NonSymmetricInput, WrongResonanceCount
+from .errors import AmbiguousTracking, PreconditionViolated
 from .model import MultiLambdaSystem, PulsePair, _Scaled, build_hamiltonian
 
 _log = logging.getLogger(__name__)
@@ -101,21 +101,21 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric matrix, or of each matrix in a ``(..., n, n)`` stack, by LAPACK.
 
     Returns ``(w, v)`` with ``h @ v[..., :, j] == w[..., j] * v[..., :, j]``.
-    Raises NonSymmetricInput unless every matrix is real, square, finite and
+    Raises PreconditionViolated unless every matrix is real, square, finite and
     exactly symmetric.  Input that is not of a real numeric dtype (complex,
     object, text) is refused whatever its values, rather than cast: casting
     would drop imaginary parts.
     """
     a = np.asarray(h)
     if a.dtype.kind not in "biuf":
-        raise NonSymmetricInput("matrix must be real")
+        raise PreconditionViolated("matrix must be real")
     a = a.astype(float, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise NonSymmetricInput("matrix must be square")
+        raise PreconditionViolated("matrix must be square")
     if not np.all(np.isfinite(a)):
-        raise NonSymmetricInput("matrix entries must be finite")
+        raise PreconditionViolated("matrix entries must be finite")
     if not np.array_equal(a, np.swapaxes(a, -1, -2)):
-        raise NonSymmetricInput("matrix must be exactly symmetric")
+        raise PreconditionViolated("matrix must be exactly symmetric")
     return np.linalg.eigh(a)
 
 
@@ -336,8 +336,10 @@ def asymptotics_valid(
     omega * max(alpha_k, beta_k)/|Delta_k| < 0.1 over the non-resonant k,
     the parameter of the neglected next-order terms.  The formulas
     extrapolate smoothly outside this domain but lose accuracy; callers
-    decide.
+    decide.  A ``side`` that is not a :class:`Side` raises ValueError.
     """
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, not {side!r}")
     wp, ws = pulses.values(t)
     weak, strong = (wp, ws) if side is Side.EARLY else (ws, wp)
     if not (strong > 0 and weak / strong < _ASYMPTOTIC_RATIO):
@@ -362,16 +364,19 @@ def asymptotic_eigenvalues(
     behave as ``-res/S_b2 * omega_p^2`` (small) and ``-S_b2 * omega_s^2``
     (large) with ``res = S_a2 S_b2 - S_ab^2``; late, the roles of the sums
     and envelopes swap.  The denominator sum must not vanish
-    (DegenerateSums).  With exactly one resonant state n three curves
+    (PreconditionViolated).  With exactly one resonant state n three curves
     vanish: a small one quadratic in the weak envelope and the symmetric
     pair ``-/+ beta_n omega_s`` early, ``-/+ alpha_n omega_p`` late; the
     bracket combines the detuning sums taken without n.  Two or more
-    resonant states raise WrongResonanceCount.  The small eigenvalue is a
+    resonant states raise PreconditionViolated.  The small eigenvalue is a
     ratio of scaled sums, so it survives a residual or bracket that underflows.
+    A ``side`` that is not a :class:`Side` raises ValueError.
     """
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, not {side!r}")
     resonant = system.resonant_indices()
     if len(resonant) > 1:
-        raise WrongResonanceCount("asymptotics handle zero or one resonant state")
+        raise PreconditionViolated("asymptotics handle zero or one resonant state")
     s = system.sums
     early = side is Side.EARLY
     weak, strong = (omega_p, omega_s) if early else (omega_s, omega_p)
@@ -379,7 +384,7 @@ def asymptotic_eigenvalues(
         den = s.b2 if early else s.a2
         if den.is_zero():
             name = "S_b2" if early else "S_a2"
-            raise DegenerateSums(f"{name} vanishes; {side.value} asymptotics undefined")
+            raise PreconditionViolated(f"{name} vanishes; {side.value} asymptotics undefined")
         return AsymptoticEigenvalues(_small(s.residual, den, weak), (-float(den) * strong**2,))
     n = resonant[0]
     an, bn = system.alphas[n], system.betas[n]

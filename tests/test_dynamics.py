@@ -13,7 +13,6 @@ from multilambda import (
     PreconditionViolated,
     ToleranceNotMet,
     ValidationError,
-    ZeroDetuningInSum,
     ZeroEigenvalue,
     build_hamiltonian,
     classify,
@@ -361,12 +360,26 @@ class TestDegeneratePrediction:
 
     def test_preconditions(self):
         pul = pulses(30.0)
-        with pytest.raises(PreconditionViolated):
-            pf_degenerate_prediction(DARK3, pul)  # sums do not vanish
-        with pytest.raises(PreconditionViolated):
-            pf_degenerate_prediction(BLOCKED, pul)  # not proportional
-        with pytest.raises(ZeroDetuningInSum):
-            pf_degenerate_prediction(RES_DARK, pul)  # divides by the resonant detuning
+        with pytest.raises(PreconditionViolated, match="^all detuning sums must vanish$"):
+            pf_degenerate_prediction(DARK3, pul)
+        with pytest.raises(PreconditionViolated, match="^couplings must be proportional$"):
+            pf_degenerate_prediction(BLOCKED, pul)
+        # divides by the resonant detuning
+        match = "^detuning of intermediate state 0 is exactly zero$"
+        with pytest.raises(PreconditionViolated, match=match):
+            pf_degenerate_prediction(RES_DARK, pul)
+        # no field, no trapped state: the prediction was once a perfect 1.0
+        with pytest.raises(PreconditionViolated, match="^both envelopes vanish$"):
+            pf_degenerate_prediction(DOUBLE_ZERO, pulses(30.0, omega0=0.0))
+
+    def test_independent_of_tiny_omega0(self):
+        # omega_p^2 + omega_s^2 underflows near 1e-160 and below; the mixing
+        # angle's rate does not depend on omega0, so neither does the result
+        ref = pf_degenerate_prediction(DOUBLE_ZERO, pulses(30.0, omega0=1e-100))
+        assert ref == pytest.approx(6.0919917e-8, rel=1e-7)
+        for omega0 in (1e-160, 1e-200, 5e-324):
+            got = pf_degenerate_prediction(DOUBLE_ZERO, pulses(30.0, omega0=omega0))
+            assert got == pytest.approx(ref, rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e10])
     @pytest.mark.parametrize("system", [DARK3, DOUBLE_ZERO], ids=["dark3", "double_zero"])
@@ -380,5 +393,5 @@ class TestDegeneratePrediction:
         if double:
             assert 0.0 <= pf_degenerate_prediction(scaled, pulses(30.0)) <= 1.0
         else:
-            with pytest.raises(PreconditionViolated):
+            with pytest.raises(PreconditionViolated, match="^all detuning sums must vanish$"):
                 pf_degenerate_prediction(scaled, pulses(30.0))

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multilambda import (
-    BothEnvelopesZero,
     MultiLambdaSystem,
+    PreconditionViolated,
     PulsePair,
     SSums,
-    ZeroDetuningInSum,
     build_hamiltonian,
     dark_state,
     det_closed_form,
@@ -212,7 +211,7 @@ class TestSums:
         assert float(s.b2) == pytest.approx(0.25)
 
     def test_over_refuses_what_it_cannot_sum(self):
-        with pytest.raises(ZeroDetuningInSum):
+        with pytest.raises(PreconditionViolated, match="^a detuning sum divides by each detuning$"):
             SSums.over([(1.0, 1.0, 0.0)])
         for term in ((1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (math.nan, 1.0, 1.0)):
             with pytest.raises(ValueError, match="finite"):
@@ -376,8 +375,14 @@ class TestNullVectors:
 
     def test_dark_state_undefined_without_fields(self):
         pul = PulsePair(omega0=0.0, width=30, delay=15)
-        with pytest.raises(BothEnvelopesZero):
+        with pytest.raises(PreconditionViolated, match="^both envelopes vanish at t=0.0$"):
             dark_state(DARK3, pul, 0.0)
+
+    def test_dark_state_needs_proportional_couplings(self):
+        # (omega_s, 0, 0, -omega_p)/Omega is no eigenvector of LINKED's H:
+        # |H v| = 0.826 at t = 0
+        with pytest.raises(PreconditionViolated, match="^couplings must be proportional$"):
+            dark_state(LINKED, pulses(30.0), 0.0)
 
     def test_extended_end_state_amplitudes_solve_null_equation(self):
         # TRANSFER satisfies the zero-eigenvalue condition; extending the
@@ -392,7 +397,8 @@ class TestNullVectors:
             assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_extension_needs_nonzero_detunings(self):
-        with pytest.raises(ZeroDetuningInSum):
+        match = "^intermediate amplitudes divide by each detuning$"
+        with pytest.raises(PreconditionViolated, match=match):
             zero_eigvec_amplitudes(RES_DARK, pulses(30.0), 0.0, 1.0, 0.0)
 
     def test_extension_needs_nonzero_end_amplitudes(self):

@@ -35,15 +35,32 @@ EARLIER_NAMES = {
 # the per-snapshot record (one row of ``track_spectrum``'s stacked result) and
 # the per-regime tail asymptotics with their resonance-index check
 # (``asymptotic_eigenvalues``, which reads the resonance from the system),
-# the detuning sums built per call (``MultiLambdaSystem.sums``) and the
-# one-field state wrapper (states are plain complex arrays of N+2 amplitudes).
+# the detuning sums built per call (``MultiLambdaSystem.sums``), the
+# one-field state wrapper (states are plain complex arrays of N+2 amplitudes)
+# and the error classes that each restated ``PreconditionViolated``, whose
+# message now names the failed condition.
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
     "effective_two_state", "PulseShape", "det_offres_sum_form",
     "det_single_res_sum_form", "det_pair_form", "SpectralSnapshot",
     "asymptotic_eigenvalues_offres", "asymptotic_eigenvalues_res", "NotSingleResonance",
-    "s_sums", "StateVector",
+    "s_sums", "StateVector", "ZeroDetuningInSum", "BothEnvelopesZero", "NonSymmetricInput",
+    "DegenerateSums", "WrongResonanceCount", "NotProportional",
+}
+
+# One error class per way a caller handles a failure, each with its direct base.
+ERROR_TREE = {
+    "MultiLambdaError": Exception,
+    "ConfigError": errors.MultiLambdaError,
+    "ParseError": errors.ConfigError,
+    "ValidationError": errors.ConfigError,
+    "NumericalError": errors.MultiLambdaError,
+    "ToleranceNotMet": errors.NumericalError,
+    "NormDriftExceeded": errors.NumericalError,
+    "AmbiguousTracking": errors.NumericalError,
+    "PreconditionViolated": errors.MultiLambdaError,
+    "NoCrossing": errors.PreconditionViolated,
 }
 
 # Members of ``SSums`` deleted when each sum came to be held once, in its
@@ -91,6 +108,13 @@ def test_earlier_exports_kept():
     assert EARLIER_NAMES - REMOVED_NAMES <= set(multilambda.__all__)
     assert not REMOVED_NAMES & set(multilambda.__all__)
     assert "write_csv" not in multilambda.__all__
+
+
+def test_error_tree():
+    assert {name: getattr(errors, name).__bases__ for name in errors.__all__} == {
+        name: (base,) for name, base in ERROR_TREE.items()
+    }
+    assert not REMOVED_NAMES & set(dir(errors))
 
 
 def test_removed_members_stay_removed():

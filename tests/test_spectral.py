@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from multilambda import (
     AmbiguousTracking,
-    DegenerateSums,
     MultiLambdaSystem,
-    NonSymmetricInput,
+    PreconditionViolated,
     Side,
-    WrongResonanceCount,
     asymptotic_eigenvalues,
     asymptotics_valid,
     build_hamiltonian,
@@ -69,9 +67,9 @@ class TestEigendecompose:
         assert np.array_equal(v, np.eye(3))
 
     def test_rejects_bad_input(self):
-        with pytest.raises(NonSymmetricInput):
+        with pytest.raises(PreconditionViolated, match="^matrix must be square$"):
             eigendecompose(np.zeros((2, 3)))
-        with pytest.raises(NonSymmetricInput):
+        with pytest.raises(PreconditionViolated, match="^matrix must be exactly symmetric$"):
             eigendecompose(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
         # one bad member spoils a stack
         stack = np.array([_random_symmetric(np.random.default_rng(8), 4)] * 3)
@@ -79,8 +77,12 @@ class TestEigendecompose:
         asymmetric[2, 0, 1] += 1e-12
         poisoned = stack.copy()
         poisoned[1, 3, 3] = np.nan
-        for bad in (asymmetric, poisoned):
-            with pytest.raises(NonSymmetricInput):
+        refusals = (
+            (asymmetric, "^matrix must be exactly symmetric$"),
+            (poisoned, "^matrix entries must be finite$"),
+        )
+        for bad, match in refusals:
+            with pytest.raises(PreconditionViolated, match=match):
                 eigendecompose(bad)
 
     def test_rejects_complex_input(self):
@@ -91,7 +93,7 @@ class TestEigendecompose:
         stack = np.array([_random_symmetric(np.random.default_rng(10), 4)] * 3, dtype=complex)
         boxed = hermitian.astype(object)
         for h in (hermitian, real_valued, stack, boxed):
-            with pytest.raises(NonSymmetricInput, match="matrix must be real"):
+            with pytest.raises(PreconditionViolated, match="^matrix must be real$"):
                 eigendecompose(h)
 
     def test_rejects_non_finite_entries(self):
@@ -102,7 +104,7 @@ class TestEigendecompose:
             stack = np.array([a] * 3)
             stack[2, 3, 3] = bad
             for h in (one, stack):
-                with pytest.raises(NonSymmetricInput, match="matrix entries must be finite"):
+                with pytest.raises(PreconditionViolated, match="^matrix entries must be finite$"):
                     eigendecompose(h)
 
     def test_stack_matches_single_matrices(self):
@@ -526,14 +528,27 @@ class TestAsymptotics:
 
     def test_degenerate_sums_refused(self):
         # BLOCKED has a vanishing Stokes sum, PUMP_BLOCKED a vanishing pump sum
-        with pytest.raises(DegenerateSums):
+        match = "^S_b2 vanishes; early asymptotics undefined$"
+        with pytest.raises(PreconditionViolated, match=match):
             asymptotic_eigenvalues(BLOCKED, 0.1, 0.9, Side.EARLY)
-        with pytest.raises(DegenerateSums):
+        match = "^S_a2 vanishes; late asymptotics undefined$"
+        with pytest.raises(PreconditionViolated, match=match):
             asymptotic_eigenvalues(PUMP_BLOCKED, 0.9, 0.1, Side.LATE)
 
     def test_single_resonance_required(self):
-        with pytest.raises(WrongResonanceCount):
+        match = "^asymptotics handle zero or one resonant state$"
+        with pytest.raises(PreconditionViolated, match=match):
             asymptotic_eigenvalues(DEGEN_NONPROP_2, 0.5, 0.5, Side.EARLY)
+
+    def test_side_must_be_a_side(self):
+        # "early" is not Side.EARLY: it once gave the late-side values
+        for side in ("early", "late", None):
+            with pytest.raises(ValueError, match="side must be a Side"):
+                asymptotic_eigenvalues(LINKED, 0.01, 0.5, side)
+
+    def test_validity_side_must_be_a_side(self):
+        with pytest.raises(ValueError, match="side must be a Side"):
+            asymptotics_valid(LINKED, pulses(30.0), -87.0, "early")
 
     @pytest.mark.parametrize("factor", [1e-100, 1e-150])
     @pytest.mark.parametrize("side", [Side.EARLY, Side.LATE])
