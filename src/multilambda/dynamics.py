@@ -631,8 +631,9 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
     integrated by adaptive quadrature over the pulse pair's default window.
     For the Gaussian pair the mixing angle, tan(theta) = omega_p/omega_s =
     exp(rate t) with rate = 4 delay/width^2, turns at rate/(2 cosh(rate t))
-    whatever omega0 is, so the prediction does not depend on omega0 where
-    omega_p^2 + omega_s^2 underflows.  With omega0 = 0 no state is trapped.
+    whatever omega0 is, and nu is formed by ``hypot``, so the prediction
+    does not depend on omega0 where omega_p^2 + omega_s^2 would under- or
+    overflow.  With omega0 = 0 no state is trapped.
     """
     from scipy.integrate import quad  # SciPy's import cost is paid only here
 
@@ -645,7 +646,7 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
         raise PreconditionViolated("all detuning sums must vanish")
     if pulses.omega0 == 0.0:
         raise PreconditionViolated("both envelopes vanish")
-    q = sum(a * a / (d * d) for a, d in zip(system.alphas, system.detunings))
+    r = math.hypot(*(a / d for a, d in zip(system.alphas, system.detunings)))
     lo, hi = pulses.default_window()
     rate = 4.0 * pulses.delay / pulses.width**2
 
@@ -653,7 +654,7 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
         wp, ws = pulses.values(t)
         e = math.exp(-abs(rate * t))  # 1/(2 cosh x) = e^-|x|/(1 + e^-2|x|), no overflow
         theta_dot = rate * e / (1.0 + e * e)
-        nu = 1.0 / math.sqrt(1.0 + (wp * wp + ws * ws) * q)
+        nu = 1.0 / math.hypot(1.0, r * math.hypot(wp, ws))
         return theta_dot * nu
 
     angle, _ = quad(integrand, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10)

@@ -374,8 +374,11 @@ def dark_state(system: MultiLambdaSystem, pulses: PulsePair, t: float) -> np.nda
     at late times through the counterintuitive pulse order.  For a system in
     customary normalization it reads (omega_s/Omega, 0, ..., -omega_p/Omega).
     Returns the N+2 amplitudes as a read-only complex array.  Couplings that
-    are not proportional have no such state and raise PreconditionViolated.
+    are not proportional have no such state and raise PreconditionViolated;
+    an array ``t`` raises ValueError.
     """
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be a scalar time, not an array of shape {np.shape(t)}")
     if not system.is_proportional():
         raise PreconditionViolated("couplings must be proportional")
     wp, ws = pulses.values(t)
@@ -404,8 +407,11 @@ def zero_eigvec_amplitudes(
     ``-(alpha_k omega_p a_i + beta_k omega_s a_f) / delta_k``.  The result is
     a normalized, read-only complex array.  The caller is responsible for the
     validity of ``(a_i, a_f)``; the vector is exactly a null vector only when
-    the zero-eigenvalue condition holds for the system.
+    the zero-eigenvalue condition holds for the system.  An array ``t``
+    raises ValueError.
     """
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be a scalar time, not an array of shape {np.shape(t)}")
     if any(d == 0.0 for d in system.detunings):
         raise PreconditionViolated("intermediate amplitudes divide by each detuning")
     wp, ws = pulses.values(t)

@@ -71,8 +71,6 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "eigendecompose",
     "track_spectrum",
-    "track_curve",
-    "track_vectors",
     "Side",
     "AsymptoticEigenvalues",
     "asymptotic_eigenvalues",
@@ -272,7 +270,10 @@ def track_spectrum(system: MultiLambdaSystem, pulses: PulsePair, time_grid) -> n
     one at a time because some column's overlap with its predecessor is at
     most 0.75; clustered steps are not counted for being clustered.
     """
-    grid = np.asarray(time_grid, dtype=float)
+    grid = np.asarray(time_grid)
+    if grid.dtype.kind not in "biuf":  # a cast would drop imaginary parts
+        raise ValueError("time grid must be real")
+    grid = grid.astype(float, copy=False)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("time grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(grid)):
@@ -290,24 +291,6 @@ def track_spectrum(system: MultiLambdaSystem, pulses: PulsePair, time_grid) -> n
     spec.eigenvectors = v * sign[:, None, :]
     spec.setflags(write=False)
     return spec
-
-
-def _track_columns(spec: np.recarray, track_id: int) -> np.ndarray:
-    """Column of the labelled curve in each snapshot."""
-    hit = spec.track_ids == track_id
-    if not np.all(np.count_nonzero(hit, axis=1) == 1):
-        raise ValueError(f"track {track_id} is not labelled exactly once in every snapshot")
-    return np.argmax(hit, axis=1)
-
-
-def track_curve(spec: np.recarray, track_id: int) -> np.ndarray:
-    """Eigenvalue of one labelled curve across all snapshots."""
-    return spec.eigenvalues[np.arange(len(spec)), _track_columns(spec, track_id)]
-
-
-def track_vectors(spec: np.recarray, track_id: int) -> np.ndarray:
-    """Eigenvector of one labelled curve, rows indexed like the snapshots."""
-    return spec.eigenvectors[np.arange(len(spec)), :, _track_columns(spec, track_id)]
 
 
 class Side(Enum):

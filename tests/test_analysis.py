@@ -340,6 +340,45 @@ class TestTransferRule:
                     assert classify(shifted).at_state is AtState.NOT_EXISTS
 
 
+class TestTuningRule:
+    """The paper's closing advice: tune pump and Stokes just below or just
+    above all intermediate states, and a transfer state exists whatever the
+    couplings."""
+
+    @staticmethod
+    def _system(n: int, seed: int, signs) -> MultiLambdaSystem:
+        rng = np.random.default_rng(seed)
+        return MultiLambdaSystem(
+            tuple(rng.uniform(0.05, 3.0, n)),
+            tuple(rng.uniform(0.05, 3.0, n)),
+            tuple(signs * rng.uniform(0.01, 5.0, n)),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        seed=st.integers(0, 2**32 - 1),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_one_sign_detunings_give_a_transfer_state(self, n, seed, sign):
+        out = classify(self._system(n, seed, sign))
+        assert out.at_state in (AtState.EXISTS_DARK, AtState.EXISTS_GENERAL)
+        assert out.reason != "marginal"
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))
+    def test_windows_lie_between_the_intermediate_states(self, n, seed):
+        # Outside [-max Delta_k, -min Delta_k] a common shift leaves every
+        # detuning one sign.  The window ends are breakpoints and the poles
+        # are exactly -Delta_k, so the comparison is exact.
+        signs = np.random.default_rng(seed + 1).choice([-1.0, 1.0], n)
+        signs[:2] = (1.0, -1.0)
+        system = self._system(n, seed, signs)
+        lo, hi = -max(system.detunings), -min(system.detunings)
+        for x0, x1 in no_at_intervals(system, -20.0, 20.0):
+            assert lo <= x0 < x1 <= hi, f"{system}: window ({x0}, {x1})"
+
+
 class TestWindows:
     def test_boundaries_exact(self):
         bounds = at_window_boundaries(SCAN_BASE, -2.0, 1.0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,16 @@ class TestDegeneratePrediction:
         for omega0 in (1e-160, 1e-200, 5e-324):
             got = pf_degenerate_prediction(DOUBLE_ZERO, pulses(30.0, omega0=omega0))
             assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_independent_of_huge_omega0(self):
+        # omega_p^2 + omega_s^2 would overflow near 1e155 and above; nu is
+        # formed without squaring an envelope, so no overflow is warned of
+        # and a huge omega0 gives what 1e150 gives
+        ref = pf_degenerate_prediction(DOUBLE_ZERO, pulses(30.0, omega0=1e150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for omega0 in (1e200, 1e300):
+                assert pf_degenerate_prediction(DOUBLE_ZERO, pulses(30.0, omega0=omega0)) == ref
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e10])
     @pytest.mark.parametrize("system", [DARK3, DOUBLE_ZERO], ids=["dark3", "double_zero"])

@@ -384,6 +384,14 @@ class TestNullVectors:
         with pytest.raises(PreconditionViolated, match="^couplings must be proportional$"):
             dark_state(LINKED, pulses(30.0), 0.0)
 
+    def test_dark_state_needs_scalar_time(self):
+        # an array t used to fail on NumPy's "truth value ... ambiguous"
+        pul = pulses(30.0)
+        match = r"^t must be a scalar time, not an array of shape \(2,\)$"
+        with pytest.raises(ValueError, match=match):
+            dark_state(DARK3, pul, np.array([0.0, 1.0]))
+        assert np.array_equal(dark_state(DARK3, pul, np.float64(5.0)), dark_state(DARK3, pul, 5.0))
+
     def test_extended_end_state_amplitudes_solve_null_equation(self):
         # TRANSFER satisfies the zero-eigenvalue condition; extending the
         # closed-form end-state pair must give an exact null vector.
@@ -400,6 +408,13 @@ class TestNullVectors:
         match = "^intermediate amplitudes divide by each detuning$"
         with pytest.raises(PreconditionViolated, match=match):
             zero_eigvec_amplitudes(RES_DARK, pulses(30.0), 0.0, 1.0, 0.0)
+
+    def test_extension_needs_scalar_time(self):
+        # with N = 2 = len(t), alpha_k used to broadcast against omega_p(t_k)
+        # and give one normalized wrong vector
+        match = r"^t must be a scalar time, not an array of shape \(2,\)$"
+        with pytest.raises(ValueError, match=match):
+            zero_eigvec_amplitudes(LINKED, pulses(30.0), np.array([0.0, 1.0]), 1.0, 0.0)
 
     def test_extension_needs_nonzero_end_amplitudes(self):
         with pytest.raises(ValueError, match="empty vector"):

@@ -36,9 +36,10 @@ EARLIER_NAMES = {
 # the per-regime tail asymptotics with their resonance-index check
 # (``asymptotic_eigenvalues``, which reads the resonance from the system),
 # the detuning sums built per call (``MultiLambdaSystem.sums``), the
-# one-field state wrapper (states are plain complex arrays of N+2 amplitudes)
-# and the error classes that each restated ``PreconditionViolated``, whose
-# message now names the failed condition.
+# one-field state wrapper (states are plain complex arrays of N+2 amplitudes),
+# the error classes that each restated ``PreconditionViolated``, whose
+# message now names the failed condition, and the per-label curve lookups
+# (one index into ``track_spectrum``'s stacked fields).
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
@@ -46,7 +47,7 @@ REMOVED_NAMES = {
     "det_single_res_sum_form", "det_pair_form", "SpectralSnapshot",
     "asymptotic_eigenvalues_offres", "asymptotic_eigenvalues_res", "NotSingleResonance",
     "s_sums", "StateVector", "ZeroDetuningInSum", "BothEnvelopesZero", "NonSymmetricInput",
-    "DegenerateSums", "WrongResonanceCount", "NotProportional",
+    "DegenerateSums", "WrongResonanceCount", "NotProportional", "track_curve", "track_vectors",
 }
 
 # One error class per way a caller handles a failure, each with its direct base.

@@ -16,9 +16,7 @@ from multilambda import (
     asymptotics_valid,
     build_hamiltonian,
     eigendecompose,
-    track_curve,
     track_spectrum,
-    track_vectors,
 )
 from multilambda import spectral
 
@@ -130,26 +128,27 @@ class TestTracking:
         lo, hi = pul.default_window()
         snaps = track_spectrum(LINKED, pul, np.linspace(lo, hi, 1200))
         tid = self._initial_track_of_state(snaps, 0)
-        vecs = track_vectors(snaps, tid)
         # the curve that starts on the initial state ends on the final state
-        assert abs(vecs[-1][-1]) > 0.99
-        curve = track_curve(snaps, tid)
-        assert curve.shape == (1200,)
+        end = snaps[-1]
+        (j,) = np.flatnonzero(end.track_ids == tid)
+        assert abs(end.eigenvectors[-1, j]) > 0.99
 
     def test_broken_curve_returns_to_start(self):
         pul = pulses(30.0)
         lo, hi = pul.default_window()
         snaps = track_spectrum(BROKEN, pul, np.linspace(lo, hi, 1200))
         tid = self._initial_track_of_state(snaps, 0)
-        vecs = track_vectors(snaps, tid)
-        assert abs(vecs[-1][0]) > 0.99
+        end = snaps[-1]
+        (j,) = np.flatnonzero(end.track_ids == tid)
+        assert abs(end.eigenvectors[0, j]) > 0.99
 
     def test_consecutive_overlaps_stay_high_on_fine_grid(self):
         pul = pulses(30.0)
         lo, hi = pul.default_window()
         snaps = track_spectrum(LINKED, pul, np.linspace(lo, hi, 400))
         for tid in snaps[0].track_ids:
-            vecs = track_vectors(snaps, int(tid))
+            cols = np.argmax(snaps.track_ids == tid, axis=1)
+            vecs = snaps.eigenvectors[np.arange(len(snaps)), :, cols]
             overlaps = np.abs(np.sum(vecs[:-1] * vecs[1:], axis=1))
             assert np.min(overlaps) > 0.9
 
@@ -186,30 +185,6 @@ class TestTracking:
             assert np.allclose(v.T @ v, np.eye(10), atol=1e-12)
             assert np.linalg.norm(h @ v - v * snap.eigenvalues) < 1e-8
 
-    def test_curve_extraction_matches_per_snapshot_search(self):
-        pul = pulses(30.0)
-        lo, hi = pul.default_window()
-        snaps = track_spectrum(LINKED, pul, np.linspace(lo, hi, 2001))
-        for tid in range(LINKED.dimension):
-            cols = [int(np.nonzero(snap.track_ids == tid)[0][0]) for snap in snaps]
-            expected_w = np.array([snap.eigenvalues[j] for snap, j in zip(snaps, cols)])
-            expected_v = np.array([snap.eigenvectors[:, j] for snap, j in zip(snaps, cols)])
-            assert np.array_equal(track_curve(snaps, tid), expected_w)
-            assert np.array_equal(track_vectors(snaps, tid), expected_v)
-
-    def test_curve_extraction_refuses_missing_label(self):
-        pul = pulses(30.0)
-        spec = track_spectrum(LINKED, pul, np.linspace(-60.0, 60.0, 41))
-        for extract in (track_curve, track_vectors):
-            with pytest.raises(ValueError):
-                extract(spec, LINKED.dimension)
-        # a label present in all snapshots but one is refused too
-        broken = spec.copy()
-        broken.track_ids[0] += 1
-        for extract in (track_curve, track_vectors):
-            with pytest.raises(ValueError):
-                extract(broken, 0)
-
     def test_grid_validation(self):
         pul = pulses(30.0)
         with pytest.raises(ValueError):
@@ -218,6 +193,10 @@ class TestTracking:
             track_spectrum(LINKED, pul, np.zeros((2, 2)))
         for grid in ([0.0, np.nan, 1.0], [0.0, np.inf]):
             with pytest.raises(ValueError, match="time grid must be finite"):
+                track_spectrum(LINKED, pul, np.array(grid))
+        # a cast to float would drop the imaginary parts, whatever their values
+        for grid in ([0j, 1 + 1j], [0j, 1 + 0j]):
+            with pytest.raises(ValueError, match="^time grid must be real$"):
                 track_spectrum(LINKED, pul, np.array(grid))
 
     def test_debug_record_counts(self, caplog):
