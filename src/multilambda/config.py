@@ -70,6 +70,8 @@ class ScanSpec:
             raise ValueError("scan endpoints must be finite")
         if self.start == self.stop:
             raise ValueError("scan endpoints must differ")
+        if not math.isfinite(float(self.stop) - float(self.start)):
+            raise ValueError("scan span must be finite")
         if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
             raise ValueError("scan points must be an integer")
         if self.points < 2:
@@ -139,8 +141,7 @@ def _boolean(text: str) -> bool:
 _SECTIONS = {
     "system": {"n": _integer, "alphas": _numbers, "betas": _numbers, "detunings": _numbers},
     "pulses": {"omega0": _number, "width": _number, "delay": _number},
-    "integrator": {"rel_tol": _number, "abs_tol": _number, "t_start": _number,
-                   "t_end": _number, "max_step": _number, "store_every": _integer},
+    "integrator": {"rel_tol": _number, "abs_tol": _number, "store_every": _integer},
     "scan": {"axis": str, "start": _number, "stop": _number, "points": _integer,
              "log_scale": _boolean},
     "output": {"csv": Path, "report": Path},

@@ -23,9 +23,10 @@ the size of the step after it; when the point finishes, those two steps are
 re-taken for that point alone with DOP853's 7th-order dense output, and the
 peak is the maximum of the interpolant.
 
-The default window spans +-(4*width + delay), where the envelopes are below
-e^-16 of their peak, so the asymptotic populations are converged at the
-integration tolerances used here.
+Every point runs over its pulse pair's window, +-(4*width + delay), where
+the envelopes are below e^-16 of their peak, so the asymptotic populations
+are converged at the integration tolerances used here; its step is capped at
+half the pulse width.  Neither is a setting.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
     NumericalError,
     PreconditionViolated,
     ToleranceNotMet,
-    ValidationError,
 )
 from .model import (
     MultiLambdaSystem,
@@ -171,44 +171,26 @@ _NORM_BUDGET = 1e-6
 class IntegratorConfig:
     """Step-control and storage settings for one propagation.
 
-    ``t_start``/``t_end`` default to the pulse pair's own window and
-    ``max_step`` to half the pulse width, which guarantees the controller
-    cannot leap over a pulse from the flat tails.  Every ``store_every``-th
-    accepted step is kept in the returned trajectory.
+    Every ``store_every``-th accepted step is kept in the returned
+    trajectory.  The window and the step cap are not settings: each point
+    runs over its pulse pair's own window, with its step capped at half the
+    pulse width.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    t_start: float | None = None
-    t_end: float | None = None
-    max_step: float | None = None
     store_every: int = 10
 
     def __post_init__(self) -> None:
-        values = (self.rel_tol, self.abs_tol, self.t_start, self.t_end, self.max_step)
-        if not all(math.isfinite(v) for v in values if v is not None):
+        if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)):
             raise ValueError("integrator settings must be finite")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.t_start is not None and self.t_end is not None and self.t_start >= self.t_end:
-            raise ValueError("t_start must precede t_end")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
         every = self.store_every
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
             raise ValueError("store_every must be an integer")
         if self.store_every < 1:
             raise ValueError("store_every must be at least 1")
-
-    def window(self, pulses: PulsePair) -> tuple[float, float]:
-        lo, hi = pulses.default_window()
-        t0 = self.t_start if self.t_start is not None else lo
-        t1 = self.t_end if self.t_end is not None else hi
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise ValidationError(f"propagation window [{t0:g}, {t1:g}] is not finite")
-        if t0 >= t1:
-            raise ValidationError(f"propagation window [{t0:g}, {t1:g}] is empty")
-        return t0, t1
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +402,7 @@ def propagate_batch(
         initials = [None] * len(points)
     if len(initials) != len(points):
         raise ValueError("need one initial state per point")
-    windows = np.array([cfg.window(pulses) for _, pulses in points])
+    windows = np.array([pulses.default_window() for _, pulses in points])
     y = np.array([_initial_state(system, init) for (system, _), init in zip(points, initials)])
 
     # Per-point constants: H(t) = D + omega_p(t) P + omega_s(t) S.
@@ -433,11 +415,10 @@ def propagate_batch(
     consts = (omega0, width, delay, d_mat, p_mat, s_mat)
     t = windows[:, 0].copy()
     t1 = windows[:, 1].copy()
-    max_step = np.array(
-        [cfg.max_step if cfg.max_step is not None else 0.5 * p.width for _, p in points]
-    )
-    h = np.minimum(np.minimum(max_step, width[:, 0] / 20.0), (t1 - t) / 50.0)
-    h_floor = 16.0 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(t), np.abs(t1)), 1.0)
+    # Half a width: the controller cannot leap over a pulse from the flat tails.
+    max_step = 0.5 * width[:, 0]
+    h = width[:, 0] / 20.0
+    h_floor = 16.0 * np.finfo(float).eps * np.maximum(np.abs(t), np.abs(t1))
 
     size = len(points)
     idx = np.arange(size)
@@ -523,9 +504,12 @@ def propagate_batch(
             # DOP853's error, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), from
             # the two embedded estimates, each divided by the scale.
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            e53 = np.add.reduce(_E53[:, :, None, None] * k[:12], axis=1) / scale
-            s5, s3 = np.add.reduce(np.abs(e53) ** 2, axis=-1)
-            err = h * s5 / np.sqrt(np.fmax(s5 + 0.01 * s3, _TINY) * y.shape[1])
+            # Tiny tolerances overflow the scaled error to inf or NaN, which
+            # the controller below handles, so NumPy need not warn of it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                e53 = np.add.reduce(_E53[:, :, None, None] * k[:12], axis=1) / scale
+                s5, s3 = np.add.reduce(np.abs(e53) ** 2, axis=-1)
+                err = h * s5 / np.sqrt(np.fmax(s5 + 0.01 * s3, _TINY) * y.shape[1])
 
             # err == 0 clips to the largest growth factor, NaN to the largest
             # shrink; no growth right after a rejection.

@@ -83,6 +83,8 @@ class PulsePair:
             raise ValueError("pulse width must be positive")
         if self.delay <= 0:
             raise ValueError("pulse delay must be positive")
+        if not math.isfinite(self.default_window()[1]):
+            raise ValueError("pulse window must be finite")
 
     def values(self, t):
         """Return ``(omega_p, omega_s)`` at time ``t`` (scalar or array)."""
@@ -90,7 +92,7 @@ class PulsePair:
 
     def default_window(self) -> tuple[float, float]:
         """Propagation window wide enough that envelopes are below e^-16 of peak."""
-        half = 4.0 * self.width + self.delay
+        half = 4.0 * float(self.width) + float(self.delay)  # overflows to inf, never warns
         return (-half, half)
 
 

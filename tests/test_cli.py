@@ -162,12 +162,16 @@ class TestScan:
     # ``--threads 1`` is the one accepted value, kept for compatibility
     @pytest.mark.parametrize("threads", ["1"])
     def test_numeric_error_names_first_scan_value(self, tmp_path, threads):
+        # the delay, scaled with the width, puts the window beyond float
+        # time resolution at every point
         (tmp_path / "bad.conf").write_text(
-            SMALL_SCAN + "\n[integrator]\nt_start = 0\nt_end = 1e16\n"
+            SMALL_SCAN.replace("width = 10", "width = 10\ndelay = 1e16")
         )
         proc = run_cli("--threads", threads, "scan", "bad.conf", cwd=tmp_path)
         assert proc.returncode == 3
-        assert proc.stderr == "error: numeric: at scan value 8: step size underflow at t=0.0\n"
+        assert proc.stderr == (
+            "error: numeric: at scan value 8: step size underflow at t=-8000000000000032.0\n"
+        )
 
 
 class TestAnalyze:
@@ -236,12 +240,21 @@ class TestExitCodes:
     def test_numeric_error_is_3(self, tmp_path):
         (tmp_path / "bad.conf").write_text(
             "[system]\nalphas = 1\nbetas = 1\ndetunings = 1\n"
-            "\n[pulses]\nwidth = 30\n"
-            "\n[integrator]\nt_start = 0\nt_end = 1e16\n"
+            "\n[pulses]\nwidth = 30\ndelay = 1e16\n"
         )
         proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: numeric:")
+
+    def test_hostile_tolerance_is_3(self, tmp_path):
+        # the scaled error overflows: two NumPy RuntimeWarning lines once
+        # came before the error line
+        (tmp_path / "bad.conf").write_text(
+            SINGLE_RUN + "\n[integrator]\nrel_tol = 1e-300\nabs_tol = 1e-300\n"
+        )
+        proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: numeric: step size underflow at t=-45.0\n"
 
     def test_non_finite_config_is_2(self, tmp_path):
         # nan fails every sign test, so this once printed a made-up verdict
@@ -256,11 +269,12 @@ class TestExitCodes:
         assert proc.stdout == ""
 
     def test_empty_window_is_2(self, tmp_path):
-        # the default window of width 10 ends at 45, before t_start
+        # t_start past the window end once left an empty window; the pulses
+        # set the window, and the key is gone
         (tmp_path / "bad.conf").write_text(SINGLE_RUN + "\n[integrator]\nt_start = 200\n")
         proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: config: propagation window [200, 45] is empty")
+        assert proc.stderr == "error: config: bad.conf:11: unknown key 't_start' in [integrator]\n"
 
     @pytest.mark.parametrize(
         ("old", "new"), [("alphas = 1, 2", "alphas = 2, 1"), ("betas = 1, 0.5", "betas = 1.5, 1")]
@@ -330,7 +344,34 @@ class TestExitCodes:
         (tmp_path / "bad.conf").write_text(SINGLE_RUN.replace("width = 10", "width = 1e308"))
         proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: config: propagation window [-inf, inf]")
+        assert proc.stderr == "error: config: pulse window must be finite\n"
+        # a width scan names the refused value, as for other refused points
+        (tmp_path / "scan.conf").write_text(
+            SINGLE_RUN + "\n[scan]\naxis = pulse_width\nstart = 1\nstop = 1e308\npoints = 2\n"
+        )
+        proc = run_cli("scan", "scan.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: config: at scan value 1e+308: pulse window must be finite\n"
+
+    def test_tiny_width_runs(self, tmp_path):
+        # the step floor held an absolute 1.0: step size underflow, exit 3
+        (tmp_path / "run.conf").write_text(SINGLE_RUN.replace("width = 10", "width = 1e-14"))
+        proc = run_cli("simulate", "run.conf", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_overflowing_scan_span_is_2(self, tmp_path):
+        # np.linspace warned twice and made the values nan, inf, 1e308; scan
+        # then named "scan value nan", and analyze exited 0
+        (tmp_path / "bad.conf").write_text(
+            SINGLE_RUN
+            + "\n[scan]\naxis = common_detuning\nstart = -1e308\nstop = 1e308\npoints = 3\n"
+        )
+        for command in ("scan", "analyze"):
+            proc = run_cli(command, "bad.conf", cwd=tmp_path)
+            assert proc.returncode == 2
+            assert proc.stderr == "error: config: scan span must be finite\n"
+            assert proc.stdout == ""
 
     def test_tiny_delay_runs_and_refused_width_point_is_2(self, tmp_path):
         # tau * tau underflowed in the crossing estimate: ZeroDivisionError,

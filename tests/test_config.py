@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 
 from multilambda import (
     ConfigError,
+    IntegratorConfig,
+    MultiLambdaSystem,
     ParseError,
+    PulsePair,
     ScanAxis,
     ScanSpec,
     ValidationError,
@@ -16,6 +20,7 @@ from multilambda import (
     parse_config,
     report_text,
 )
+from multilambda import config
 from multilambda.presets import preset_names, preset_text
 
 from cases import NON_FINITE, mutated_presets
@@ -48,6 +53,20 @@ points = 61
 csv = out/result.csv
 report = out/result.txt
 """
+
+
+def _init_fields(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls) if f.init}
+
+
+def test_section_keys_are_dataclass_fields():
+    # a section is built as cls(**values): a key that is no field would be
+    # a TypeError, exit 1; [system] adds the cross-checked count n
+    sections = config._SECTIONS
+    assert set(sections["system"]) == _init_fields(MultiLambdaSystem) | {"n"}
+    assert set(sections["pulses"]) == _init_fields(PulsePair)
+    assert set(sections["integrator"]) == _init_fields(IntegratorConfig)
+    assert set(sections["scan"]) == _init_fields(ScanSpec)
 
 
 class TestParsing:
@@ -182,7 +201,7 @@ class TestValidationErrors:
             self._conf(pulses=f"width = {text}"),
             self._conf(pulses=f"width = 30\ndelay = {text}"),
             self._conf(scan=f"axis = common_detuning\nstart = -2\nstop = {text}\npoints = 5"),
-            self._conf() + f"\n[integrator]\nmax_step = {text}\n",
+            self._conf() + f"\n[integrator]\nrel_tol = {text}\n",
         ):
             with pytest.raises(ValidationError, match="finite"):
                 parse_config(conf)
@@ -220,6 +239,13 @@ class TestScanSpec:
             ScanSpec(ScanAxis.PULSE_WIDTH, start=0.0, stop=10.0, points=5)
         with pytest.raises(ValueError, match="differ"):
             ScanSpec(ScanAxis.COMMON_DETUNING, start=1.0, stop=1.0, points=3)
+
+    def test_overflowing_span_refused(self):
+        # np.linspace warned twice and returned nan, inf, 1e308
+        for start, stop in ((-1e308, 1e308), (1e308, -1e308)):
+            with pytest.raises(ValueError, match="^scan span must be finite$"):
+                ScanSpec(ScanAxis.COMMON_DETUNING, start=start, stop=stop, points=3)
+        assert ScanSpec(ScanAxis.COMMON_DETUNING, -8e307, 8e307, 3).values()[1] == 0.0
 
     @pytest.mark.parametrize("points", [10**23, 2**60])
     def test_point_count_beyond_numpy_refused(self, points):

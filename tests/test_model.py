@@ -75,6 +75,14 @@ class TestPulsePair:
         with pytest.raises(ValueError, match="finite"):
             PulsePair(**{"omega0": 1.0, "width": 10.0, "delay": 5.0, field: bad})
 
+    def test_overflowing_window_refused(self):
+        # 4 width + delay overflows: the window (-inf, inf) was once
+        # integrated and reported as a step size underflow
+        for width, delay in ((1e308, 1.0), (np.float64(1e308), 1.0), (1e307, 1.7e308)):
+            with pytest.raises(ValueError, match="^pulse window must be finite$"):
+                PulsePair(omega0=1.0, width=width, delay=delay)
+        assert PulsePair(omega0=1.0, width=4e307, delay=1.0).default_window() == (-1.6e308, 1.6e308)
+
 
 class TestSystem:
     def test_validation(self):

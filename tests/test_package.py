@@ -124,3 +124,11 @@ def test_removed_members_stay_removed():
     assert not REMOVED_MEMBERS & members
     assert not {name for name in members if name.endswith("_scale")}
     assert [f.name for f in dataclasses.fields(sums)] == ["a2", "b2", "ab", "residual"]
+
+
+def test_integrator_config_has_no_window_settings():
+    # the pulses set the window and the step cap: t_start, t_end, max_step
+    # and window() are gone
+    cfg = multilambda.IntegratorConfig
+    assert [f.name for f in dataclasses.fields(cfg)] == ["rel_tol", "abs_tol", "store_every"]
+    assert not hasattr(cfg, "window")

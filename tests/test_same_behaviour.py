@@ -11,11 +11,25 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "same_behaviour.py"
 # One cheap preset: a single time point, scanned and analyzed.
 CHEAP = ("--scan", "n2_linked_time", "--analyze", "n2_linked_time")
+# One cheap hostile config, written to a CSV file: a pulse width of 1e-14,
+# which once failed with a step size underflow.
+HOSTILE = """\
+[system]
+alphas = 1, 2
+betas = 1, 0.5
+detunings = 0.5, 1.5
+
+[pulses]
+width = 1e-14
+
+[output]
+csv = out.csv
+"""
 
 
-def _compare(other_src: Path) -> subprocess.CompletedProcess:
+def _compare(other_src: Path, config: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(TOOL), str(other_src), *CHEAP],
+        [sys.executable, str(TOOL), str(other_src), *CHEAP, "--config", str(config)],
         capture_output=True, text=True, timeout=300,
     )
 
@@ -23,7 +37,9 @@ def _compare(other_src: Path) -> subprocess.CompletedProcess:
 def test_copy_is_same_and_changed_format_differs(tmp_path):
     copy = tmp_path / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
-    same = _compare(copy)
+    config = tmp_path / "tiny.conf"
+    config.write_text(HOSTILE)
+    same = _compare(copy, config)
     assert same.returncode == 0, same.stdout + same.stderr
     lines = same.stdout.splitlines()
     assert lines == [
@@ -31,6 +47,9 @@ def test_copy_is_same_and_changed_format_differs(tmp_path):
         "same  exit 0/0  preset n2_linked_time --out .",
         "same  exit 0/0  scan n2_linked_time.conf",
         "same  exit 0/0  analyze n2_linked_time.conf",
+        f"same  exit 0/0  simulate {config}",
+        f"same  exit 0/0  scan {config}",
+        f"same  exit 0/0  analyze {config}",
     ]
 
     # runner._fmt formats every CSV number
@@ -39,9 +58,10 @@ def test_copy_is_same_and_changed_format_differs(tmp_path):
     text = runner.read_text()
     assert text.count(fmt) == 1
     runner.write_text(text.replace(fmt, fmt.replace(".9g", ".8g")))
-    changed = _compare(copy)
+    changed = _compare(copy, config)
     assert changed.returncode == 1, changed.stdout + changed.stderr
-    assert "DIFF  exit 0/0  scan n2_linked_time.conf  (n2_linked_time.csv differ)" in (
-        changed.stdout.splitlines()
-    )
-    assert changed.stdout.count("DIFF") == 1
+    assert [line for line in changed.stdout.splitlines() if line.startswith("DIFF")] == [
+        "DIFF  exit 0/0  scan n2_linked_time.conf  (n2_linked_time.csv differ)",
+        f"DIFF  exit 0/0  simulate {config}  (out.csv differ)",
+        f"DIFF  exit 0/0  scan {config}  (out.csv differ)",
+    ]

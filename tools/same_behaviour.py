@@ -1,6 +1,7 @@
 """Run the CLI under this checkout's ``src`` and under another ``src`` and compare.
 
     python3 tools/same_behaviour.py OTHER_SRC [--scan NAME ...] [--analyze NAME ...]
+                                    [--config FILE ...]
 
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for example of
 the parent commit exported with ``git archive``.  Each side works in a
@@ -9,10 +10,14 @@ temporary directory of its own, with its package leading ``PYTHONPATH`` as
 named preset with ``multilambda preset``, runs ``scan`` on the ``--scan``
 presets and ``analyze`` on the ``--analyze`` presets.  By default those are
 the four scan presets below and every preset that ``preset list`` names.
+Then it runs ``simulate``, ``scan`` and ``analyze`` on each ``--config``
+file, each run on a copy of the file in a fresh directory, so that relative
+output paths land there.
 
-Each run compares the exit code, stdout, stderr and the file it writes: the
+Each run compares the exit code, stdout, stderr and the files it writes: the
 config, the report bytes, or the CSV bytes without the ``seconds`` column,
-the one column that varies between runs of the same code.  One ``same`` or
+the one column that varies between runs of the same code (a CSV table in
+stdout loses that column too).  One ``same`` or
 ``DIFF`` line is printed per run with both exit codes (this side's first),
 a DIFF line naming the parts that differ.
 The exit status is 1 if any run differs, and 2 if a side would import a
@@ -25,6 +30,7 @@ import argparse
 import csv
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -45,13 +51,20 @@ def side_env(src: Path) -> dict[str, str]:
 
 
 def without_seconds(data: bytes) -> bytes:
-    """CSV bytes with the ``seconds`` column removed."""
+    """Bytes holding a CSV table with its ``seconds`` column removed.
+
+    The table starts at the first row naming ``seconds``; rows of other
+    lengths, such as text around the table, are kept as they are.
+    """
     rows = list(csv.reader(io.StringIO(data.decode())))
-    if not rows or "seconds" not in rows[0]:
+    header = next((r for r in rows if "seconds" in r), None)
+    if header is None:
         return data
-    drop = rows[0].index("seconds")
+    drop = header.index("seconds")
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(r[:drop] + r[drop + 1 :] for r in rows)
+    csv.writer(out, lineterminator="\n").writerows(
+        r[:drop] + r[drop + 1 :] if len(r) == len(header) else r for r in rows
+    )
     return out.getvalue().encode()
 
 
@@ -61,21 +74,42 @@ class Side:
     def __init__(self, src: Path, work: Path) -> None:
         self.src, self.work, self.env = src, work, side_env(src)
 
-    def run(self, *args: str, output: str | None = None) -> dict[str, object]:
-        """Outcome of ``python -m multilambda ARGS``: exit code, stdout,
-        stderr and, keyed by its name, the bytes of the file ``output``
-        (None if it was not written)."""
+    def run(self, *args: str, output: str | None = None, cwd: Path | None = None
+            ) -> dict[str, object]:
+        """Outcome of ``python -m multilambda ARGS`` in ``cwd`` (default: the
+        side's directory): exit code, stdout, stderr and, keyed by its name,
+        the bytes of the file ``output`` (None if it was not written)."""
+        cwd = cwd or self.work
         proc = subprocess.run(
             [sys.executable, "-m", "multilambda", *args],
-            cwd=self.work, env=self.env, capture_output=True,
+            cwd=cwd, env=self.env, capture_output=True,
         )
-        outcome = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+        outcome = {
+            "exit": proc.returncode,
+            "stdout": without_seconds(proc.stdout),
+            "stderr": proc.stderr,
+        }
         if output:
-            path = self.work / output
+            path = cwd / output
             data = path.read_bytes() if path.exists() else None
             if data is not None and output.endswith(".csv"):
                 data = without_seconds(data)
             outcome[output] = data
+        return outcome
+
+    def run_config(self, command: str, config: Path, where: str) -> dict[str, object]:
+        """Outcome of ``COMMAND`` on a copy of ``config`` in the new
+        directory ``where``, as :meth:`run` gives it, with the bytes of
+        every file the run wrote there keyed by its relative path."""
+        cwd = self.work / where
+        cwd.mkdir(parents=True)
+        shutil.copyfile(config, cwd / config.name)
+        outcome = self.run(command, config.name, cwd=cwd)
+        for path in sorted(cwd.rglob("*")):
+            name = str(path.relative_to(cwd))
+            if path.is_file() and name != config.name:
+                data = path.read_bytes()
+                outcome[name] = without_seconds(data) if name.endswith(".csv") else data
         return outcome
 
     def imports_own_package(self) -> bool:
@@ -94,6 +128,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other_src", type=Path, help="src directory of the other checkout")
     parser.add_argument("--scan", nargs="+", default=SCANS, metavar="NAME")
     parser.add_argument("--analyze", nargs="+", metavar="NAME", help="default: every preset")
+    parser.add_argument(
+        "--config", nargs="+", type=Path, default=(), metavar="FILE",
+        help="also run simulate, scan and analyze on each of these config files",
+    )
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as here, tempfile.TemporaryDirectory() as there:
@@ -104,10 +142,14 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
         differ = False
 
-        def compare(*cli: str, output: str | None = None) -> dict[str, object]:
+        def compare(*cli: str, output: str | None = None, config: Path | None = None,
+                    where: str = "") -> dict[str, object]:
             nonlocal differ
-            mine, other = (side.run(*cli, output=output) for side in sides)
-            parts = [key for key in mine if mine[key] != other[key]]
+            if config is None:
+                mine, other = (side.run(*cli, output=output) for side in sides)
+            else:
+                mine, other = (side.run_config(cli[0], config, where) for side in sides)
+            parts = [key for key in {**mine, **other} if mine.get(key) != other.get(key)]
             differ = differ or bool(parts)
             verdict = "DIFF" if parts else "same"
             detail = f"  ({', '.join(parts)} differ)" if parts else ""
@@ -122,6 +164,9 @@ def main(argv: list[str] | None = None) -> int:
             compare("scan", f"{name}.conf", output=f"{name}.csv")
         for name in analyze:
             compare("analyze", f"{name}.conf", output=f"{name}.txt")
+        for i, config in enumerate(args.config):
+            for command in ("simulate", "scan", "analyze"):
+                compare(command, str(config), config=config, where=f"config-{i}-{command}")
     return 1 if differ else 0
 
 
