@@ -418,7 +418,12 @@ def propagate_batch(
     # Half a width: the controller cannot leap over a pulse from the flat tails.
     max_step = 0.5 * width[:, 0]
     h = width[:, 0] / 20.0
-    h_floor = 16.0 * np.finfo(float).eps * np.maximum(np.abs(t), np.abs(t1))
+    # Relative to the window, so tiny widths integrate; never below the
+    # smallest float, so a step that rounds to 0 is refused, not taken.
+    h_floor = np.maximum(
+        16.0 * np.finfo(float).eps * np.maximum(np.abs(t), np.abs(t1)),
+        np.finfo(float).smallest_subnormal,
+    )
 
     size = len(points)
     idx = np.arange(size)

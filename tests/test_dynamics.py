@@ -324,6 +324,12 @@ class TestFailureModes:
         assert tiny.final_pf / small.final_pf == pytest.approx(1e-8, rel=1e-6)
         assert tiny.n_accepted == small.n_accepted == 20
 
+    def test_step_that_rounds_to_zero_is_refused(self):
+        # width / 20 rounds to 0.0, and so would a floor relative to the
+        # window alone: every zero step was accepted and the loop never ended
+        with pytest.raises(ToleranceNotMet, match="^step size underflow at t=-4.4e-323$"):
+            propagate(LINKED, PulsePair(1.0, 1e-323, 5e-324))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=0.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,22 @@ width = 1e-14
 [output]
 csv = out.csv
 """
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("same_behaviour", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_without_seconds_keeps_every_other_byte():
+    without_seconds = _tool().without_seconds
+    data = b'note "a,b"\r\nscan_value,pf,seconds\n1,0.5,0.01\r\n2,0.25,0.02\nend \xff\n'
+    assert without_seconds(data) == b'note "a,b"\r\nscan_value,pf\n1,0.5\r\n2,0.25\nend \xff\n'
+    # lines outside the table are compared as they are
+    assert without_seconds(b"a\r\n\xff") == b"a\r\n\xff"
+    assert without_seconds(b"a\r\n") != without_seconds(b"a\n")
 
 
 def _compare(other_src: Path, config: Path) -> subprocess.CompletedProcess:

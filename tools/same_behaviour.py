@@ -27,8 +27,6 @@ package other than its own.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import shutil
 import subprocess
@@ -51,21 +49,26 @@ def side_env(src: Path) -> dict[str, str]:
 
 
 def without_seconds(data: bytes) -> bytes:
-    """Bytes holding a CSV table with its ``seconds`` column removed.
+    """``data`` with the ``seconds`` column of its CSV table removed.
 
-    The table starts at the first row naming ``seconds``; rows of other
-    lengths, such as text around the table, are kept as they are.
+    The table starts at the first line whose comma-separated fields include
+    ``seconds``; from there on each line with as many fields as that header
+    loses the field.  Every other byte is kept as it is, line endings and
+    lines outside the table included.  The package writes its CSV without
+    quoting, so splitting on commas is exact.
     """
-    rows = list(csv.reader(io.StringIO(data.decode())))
-    header = next((r for r in rows if "seconds" in r), None)
-    if header is None:
+    lines = data.splitlines(keepends=True)
+    fields = [line.rstrip(b"\r\n").split(b",") for line in lines]
+    start = next((i for i, row in enumerate(fields) if b"seconds" in row), None)
+    if start is None:
         return data
-    drop = header.index("seconds")
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(
-        r[:drop] + r[drop + 1 :] if len(r) == len(header) else r for r in rows
-    )
-    return out.getvalue().encode()
+    width, drop = len(fields[start]), fields[start].index(b"seconds")
+    for i in range(start, len(lines)):
+        row = fields[i]
+        if len(row) == width:
+            end = lines[i][len(b",".join(row)):]
+            lines[i] = b",".join(row[:drop] + row[drop + 1 :]) + end
+    return b"".join(lines)
 
 
 class Side:
