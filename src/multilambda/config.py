@@ -13,9 +13,9 @@ value rules live on that dataclass: ``MultiLambdaSystem``, ``PulsePair``,
 outside their domain, for library callers and config files alike.  Three
 conventions hold for config files only and are checked here: ``n``, when
 given, matches the list length, ``omega0`` is positive, and the first
-coupling pair is normalized, alphas[0] == betas[0] == 1.  A value that is
-not a number is a ``ParseError`` carrying its line; a refused value or a
-missing key is a ``ValidationError``.
+coupling pair is normalized, alphas[0] == betas[0] == 1.  Every problem
+is a ``ConfigError``; one found while reading the text, such as a value that
+is not a number, has its message prefixed with ``<source>:<line>: ``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import IntegratorConfig
-from .errors import ParseError, ValidationError
+from .errors import ConfigError
 from .model import MultiLambdaSystem, PulsePair
 
 __all__ = [
@@ -156,41 +156,42 @@ def _read_sections(text: str, source: str) -> dict[str, dict[str, object]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        at = f"{source}:{lineno}: "
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in _SECTIONS:
-                raise ParseError(f"unknown section [{name}]", line=lineno, source=source)
+                raise ConfigError(at + f"unknown section [{name}]")
             if name in sections:
-                raise ParseError(f"duplicate section [{name}]", line=lineno, source=source)
+                raise ConfigError(at + f"duplicate section [{name}]")
             sections[name] = {}
             current = name
             continue
         if "=" not in line:
-            raise ParseError("expected key = value", line=lineno, source=source)
+            raise ConfigError(at + "expected key = value")
         if current is None:
-            raise ParseError("entry before any section header", line=lineno, source=source)
+            raise ConfigError(at + "entry before any section header")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _SECTIONS[current]:
-            raise ParseError(f"unknown key {key!r} in [{current}]", line=lineno, source=source)
+            raise ConfigError(at + f"unknown key {key!r} in [{current}]")
         if key in sections[current]:
-            raise ParseError(f"duplicate key {key!r}", line=lineno, source=source)
+            raise ConfigError(at + f"duplicate key {key!r}")
         try:
             sections[current][key] = _SECTIONS[current][key](value.strip())
         except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, source=source) from None
+            raise ConfigError(at + str(exc)) from None
     return sections
 
 
 def _build(cls, section: str, values: dict[str, object]):
-    """``cls(**values)``; a missing key or a refused value is a ValidationError."""
+    """``cls(**values)``; a missing key or a refused value is a ConfigError."""
     for f in fields(cls):
         if f.init and f.default is MISSING and f.name not in values:
-            raise ValidationError(f"[{section}] needs key {f.name!r}")
+            raise ConfigError(f"[{section}] needs key {f.name!r}")
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config(text: str, source: str = "<string>", base_dir: Path | None = None) -> RunConfig:
@@ -201,18 +202,18 @@ def parse_config(text: str, source: str = "<string>", base_dir: Path | None = No
     """
     sections = _read_sections(text, source)
     if "system" not in sections:
-        raise ValidationError("missing [system] section")
+        raise ConfigError("missing [system] section")
     n = sections["system"].pop("n", None)
     system = _build(MultiLambdaSystem, "system", sections["system"])
     if system.alphas[0] != 1.0 or system.betas[0] != 1.0:
-        raise ValidationError("first coupling pair must be normalized to 1")
+        raise ConfigError("first coupling pair must be normalized to 1")
     if n is not None and n != system.n_intermediate:
-        raise ValidationError(f"n = {n}, but the lists have {system.n_intermediate} entries")
+        raise ConfigError(f"n = {n}, but the lists have {system.n_intermediate} entries")
 
     pulses = {"omega0": 1.0, "width": 30.0, **sections.get("pulses", {})}
     pulses.setdefault("delay", 0.5 * pulses["width"])
     if pulses["omega0"] <= 0:
-        raise ValidationError("omega0 must be positive")
+        raise ConfigError("omega0 must be positive")
 
     scan = sections.get("scan")
     root = base_dir if base_dir is not None else Path.cwd()
@@ -232,5 +233,5 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot read config {p}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read config {p}: {exc.strerror}") from None
     return parse_config(text, source=str(p), base_dir=p.parent)

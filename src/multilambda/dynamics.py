@@ -7,15 +7,15 @@ combined 5th/3rd-order error estimate and a step-size controller of exponent
 renormalized: norm drift is a free accuracy monitor, and a run whose norm
 leaves the budget fails loudly instead of being patched up.
 
-A state is a plain complex array of N+2 amplitudes: the start given to
-:func:`propagate`, each row of a result's trajectory, and each row of the
-batch state.  One loop serves one point or many: a batch of B points of one
-dimension is advanced in lockstep as a ``(B, N+2)`` state, with the twelve
-stage generators -i H(t + c_i h) of a step built in one broadcast.  Each point
-keeps its own window, step size, controller state, audits and stored
-trajectory, and the stage and error sums are fixed-order elementwise
-operations, so a point takes exactly the steps it takes alone and its result
-is bitwise the same in any batch.
+Every propagation starts with all population in the initial state |i>.  A
+state is a plain complex array of N+2 amplitudes: each row of a result's
+trajectory, and each row of the batch state.  One loop serves one point or
+many: a batch of B points of one dimension is advanced in lockstep as a
+``(B, N+2)`` state, with the twelve stage generators -i H(t + c_i h) of a
+step built in one broadcast.  Each point keeps its own window, step size,
+controller state, audits and stored trajectory, and the stage and error sums
+are fixed-order elementwise operations, so a point takes exactly the steps
+it takes alone and its result is bitwise the same in any batch.
 
 The intermediate-population peak falls between accepted steps, which are
 long at this order.  The loop keeps the step that ended at the best node and
@@ -36,7 +36,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import (
     NormDriftExceeded,
@@ -203,11 +202,9 @@ class PropagationResult:
     population: the largest value of the 7th-order dense output on the two
     accepted steps around the best accepted node (sampled, then refined at a
     parabola's vertex), never below that node's value, and independent of
-    ``store_every`` and of the batch.  ``n_rhs`` counts the right-hand-side
-    evaluations of the propagation, 12 per attempted step plus one; the 32
-    or fewer of the peak's refinement are not counted.  ``h_min``/``h_max``
-    are the smallest and largest accepted step (the last step, clipped to
-    the window end, included; NaN when no step was accepted).
+    ``store_every`` and of the batch.  ``h_min``/``h_max`` are the smallest
+    and largest accepted step, the last step, clipped to the window end,
+    included.
     """
 
     time_grid: np.ndarray
@@ -217,7 +214,6 @@ class PropagationResult:
     max_intermediate_pop: float
     n_accepted: int
     n_rejected: int
-    n_rhs: int
     h_min: float
     h_max: float
 
@@ -341,43 +337,25 @@ def _refined_peak(
     return best
 
 
-def _initial_state(system: MultiLambdaSystem, initial: ArrayLike | None) -> np.ndarray:
-    """A complex copy of ``initial``, or |i> when it is None."""
-    if initial is None:
-        initial = np.eye(1, system.dimension)[0]
-    y = np.array(initial, dtype=complex)
-    if y.shape != (system.dimension,):
-        raise ValueError("initial state dimension does not match the system")
-    if not np.isfinite(y).all():  # before the norm test, which NaN passes
-        raise ValueError("state vector amplitudes must be finite")
-    if abs(float(np.linalg.norm(y)) - 1.0) > 1e-8:
-        raise ValueError("initial state must be normalized")
-    return y
-
-
 def propagate(
     system: MultiLambdaSystem,
     pulses: PulsePair,
     config: IntegratorConfig | None = None,
-    initial: ArrayLike | None = None,
 ) -> PropagationResult:
     """Integrate the Schrodinger equation across the pulse sequence.
 
-    Starts from ``initial``, any array-like of N+2 normalized amplitudes
-    (default: all population in the initial state), and returns the stored
+    Starts with all population in the initial state and returns the stored
     trajectory.  Raises ToleranceNotMet when the step
     controller stalls at the minimum step and NormDriftExceeded when the norm
     leaves 1 by more than 1e-6 at any accepted step.  This is a batch of one
     through :func:`propagate_batch`.
     """
-    initials = None if initial is None else [initial]
-    return propagate_batch([(system, pulses)], config, initials)[0]
+    return propagate_batch([(system, pulses)], config)[0]
 
 
 def propagate_batch(
     points: Sequence[tuple[MultiLambdaSystem, PulsePair]],
     config: IntegratorConfig | None = None,
-    initials: Sequence[ArrayLike | None] | None = None,
 ) -> list[PropagationResult]:
     """Propagate several ``(system, pulses)`` points of one dimension in lockstep.
 
@@ -386,7 +364,6 @@ def propagate_batch(
     step size and controller state, so it takes exactly the steps it takes
     alone, and its result does not depend on the other points of the batch.
     A point drops out of the batch when it reaches its window end.
-    ``initials`` gives each point's start as in :func:`propagate`.
 
     When points fail, the error of the first failing point in batch order is
     raised once every point before it has finished, with that point's
@@ -398,12 +375,10 @@ def propagate_batch(
     dims = {system.dimension for system, _ in points}
     if len(dims) != 1:
         raise ValueError("points of one batch must share the system dimension")
-    if initials is None:
-        initials = [None] * len(points)
-    if len(initials) != len(points):
-        raise ValueError("need one initial state per point")
+    size = len(points)
     windows = np.array([pulses.default_window() for _, pulses in points])
-    y = np.array([_initial_state(system, init) for (system, _), init in zip(points, initials)])
+    y = np.zeros((size, dims.pop()), dtype=complex)
+    y[:, 0] = 1.0
 
     # Per-point constants: H(t) = D + omega_p(t) P + omega_s(t) S.
     d_mat = np.array([build_hamiltonian(system, 0.0, 0.0) for system, _ in points])
@@ -425,7 +400,6 @@ def propagate_batch(
         np.finfo(float).smallest_subnormal,
     )
 
-    size = len(points)
     idx = np.arange(size)
     # Clipped to the step counter's dtype so the modulo cannot overflow; no
     # step count reaches the clipped value either.
@@ -436,7 +410,7 @@ def propagate_batch(
     n_rej = np.zeros(size, dtype=int)
     h_lo = np.full(size, np.inf)
     h_hi = np.zeros(size)
-    max_mid = _mid_population(y)
+    max_mid = np.zeros(size)
     # Per row, the accepted step that ended at the node of max_mid (start
     # time, start state, size; size 0 while the start node is the best) and
     # the size of the accepted step after that node.  ``waiting`` marks rows
@@ -462,7 +436,6 @@ def propagate_batch(
         traj = np.array(states[p])
         grid.setflags(write=False)
         traj.setflags(write=False)
-        accepted, rejected = int(n_acc[b]), int(n_rej[b])
         peak = _refined_peak(
             tuple(a[b : b + 1] for a in consts),
             float(peak_t[b]),
@@ -477,11 +450,10 @@ def propagate_batch(
             final_pf=float(np.abs(y[b, -1]) ** 2),
             final_norm_error=final_norm_error,
             max_intermediate_pop=peak,
-            n_accepted=accepted,
-            n_rejected=rejected,
-            n_rhs=12 * (accepted + rejected) + 1,  # FSAL: one at the start, twelve per attempt
-            h_min=float(h_lo[b]) if accepted else math.nan,
-            h_max=float(h_hi[b]) if accepted else math.nan,
+            n_accepted=int(n_acc[b]),
+            n_rejected=int(n_rej[b]),
+            h_min=float(h_lo[b]),
+            h_max=float(h_hi[b]),
         )
 
     rejected_before = False  # whether just_rejected has any True entry
@@ -502,16 +474,17 @@ def propagate_batch(
                     failures[int(idx[b])] = ToleranceNotMet(f"step size underflow at t={t[b]}")
         else:
             hc = h[:, None]
-            g = _generators(t[:, None] + _C_STEP * hc, *consts)
-            k = np.empty((13, *y.shape), dtype=complex)
-            k[0] = k0
-            y_new = _stages(k, y, hc, g, 1, 13)  # stage 12's argument: the 8th-order solution
-            # DOP853's error, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), from
-            # the two embedded estimates, each divided by the scale.
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            # Tiny tolerances overflow the scaled error to inf or NaN, which
-            # the controller below handles, so NumPy need not warn of it.
+            # Tiny tolerances or huge widths overflow the scaled error or the
+            # stages to inf or NaN, which the controller below rejects, so
+            # NumPy need not warn of it.
             with np.errstate(over="ignore", invalid="ignore"):
+                g = _generators(t[:, None] + _C_STEP * hc, *consts)
+                k = np.empty((13, *y.shape), dtype=complex)
+                k[0] = k0
+                y_new = _stages(k, y, hc, g, 1, 13)  # stage 12's argument: the 8th-order solution
+                # DOP853's error, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), from
+                # the two embedded estimates, each divided by the scale.
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
                 e53 = np.add.reduce(_E53[:, :, None, None] * k[:12], axis=1) / scale
                 s5, s3 = np.add.reduce(np.abs(e53) ** 2, axis=-1)
                 err = h * s5 / np.sqrt(np.fmax(s5 + 0.01 * s3, _TINY) * y.shape[1])
@@ -609,6 +582,10 @@ def propagate_batch(
     return results  # type: ignore[return-value]
 
 
+# Where the degenerate prediction's integral in x = rate t is cut.
+_X_MAX = 40.0
+
+
 def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> float:
     """Final-state population when the trapped state is twofold degenerate.
 
@@ -622,7 +599,10 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
     exp(rate t) with rate = 4 delay/width^2, turns at rate/(2 cosh(rate t))
     whatever omega0 is, and nu is formed by ``hypot``, so the prediction
     does not depend on omega0 where omega_p^2 + omega_s^2 would under- or
-    overflow.  With omega0 = 0 no state is trapped.
+    overflow.  The integral is taken in x = rate t, where the turn has unit
+    width whatever the width and delay are, and is cut at |x| = 40, where
+    the turning rate is below e^-40 of its peak.  With omega0 = 0 no state
+    is trapped.
     """
     from scipy.integrate import quad  # SciPy's import cost is paid only here
 
@@ -636,15 +616,14 @@ def pf_degenerate_prediction(system: MultiLambdaSystem, pulses: PulsePair) -> fl
     if pulses.omega0 == 0.0:
         raise PreconditionViolated("both envelopes vanish")
     r = math.hypot(*(a / d for a, d in zip(system.alphas, system.detunings)))
-    lo, hi = pulses.default_window()
-    rate = 4.0 * pulses.delay / pulses.width**2
+    rate = 4.0 * (pulses.delay / pulses.width) / pulses.width
 
-    def integrand(t: float) -> float:
-        wp, ws = pulses.values(t)
-        e = math.exp(-abs(rate * t))  # 1/(2 cosh x) = e^-|x|/(1 + e^-2|x|), no overflow
-        theta_dot = rate * e / (1.0 + e * e)
+    def integrand(x: float) -> float:
+        wp, ws = pulses.values(x / rate)
+        e = math.exp(-abs(x))  # 1/(2 cosh x) = e^-|x|/(1 + e^-2|x|), no overflow
         nu = 1.0 / math.hypot(1.0, r * math.hypot(wp, ws))
-        return theta_dot * nu
+        return e / (1.0 + e * e) * nu
 
+    lo, hi = (min(max(rate * t, -_X_MAX), _X_MAX) for t in pulses.default_window())
     angle, _ = quad(integrand, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10)
     return math.cos(angle) ** 2

@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all multilambda modules.
 
 There is one family per way a caller handles a failure.  ConfigError means
-the run description is wrong: fix the input (exit code 2 at the command
-line).  NumericalError means the machinery failed on valid input: change a
-tolerance or the grid (exit code 3).  PreconditionViolated means a formula
+the run description is wrong, whether its text does not parse or a value is
+refused: fix the input (exit code 2 at the command line).  NumericalError
+means the machinery failed on valid input: change a tolerance or the grid
+(exit code 3).  PreconditionViolated means a formula
 was asked for outside the domain where it holds, for example a dark state
 of non-proportional couplings or detuning sums of a resonant system; its
 message names the condition.  Its one subclass, NoCrossing, is the refusal
@@ -13,8 +14,6 @@ of the crossing-based estimate, which a scan reports as a reason instead.
 __all__ = [
     "MultiLambdaError",
     "ConfigError",
-    "ParseError",
-    "ValidationError",
     "NumericalError",
     "ToleranceNotMet",
     "NormDriftExceeded",
@@ -29,21 +28,9 @@ class MultiLambdaError(Exception):
 
 
 class ConfigError(MultiLambdaError):
-    """Base class for configuration file problems."""
-
-
-class ParseError(ConfigError):
-    """Config text could not be parsed.  Carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None, source: str = "<config>"):
-        self.line = line
-        self.source = source
-        where = f"{source}:{line}: " if line is not None else f"{source}: "
-        super().__init__(where + message)
-
-
-class ValidationError(ConfigError):
-    """Config parsed fine but violates an invariant of the run description."""
+    """The run description is wrong: text that does not parse, with its
+    ``<source>:<line>: `` prefix, a missing key, a refused value, an unknown
+    preset, or a file that cannot be read or written."""
 
 
 class NumericalError(MultiLambdaError):

@@ -343,10 +343,12 @@ def det_closed_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -
     det H = omega_p^2 omega_s^2 sum_{k<l} (alpha_k beta_l - alpha_l beta_k)^2
     prod_{j != k, l} Delta_j.  Off resonance this is omega_p^2 omega_s^2
     prod_k Delta_k (S_a2 S_b2 - S_ab^2) with each 1/(Delta_k Delta_l)
-    multiplied out, so no factor overflows before another scales it down.
-    A resonance Delta_n = 0 removes every pair without n: one resonance n
-    leaves the pairs (k, n), two resonances m, n leave the single pair
-    (m, n), and three or more leave nothing, so det H vanishes identically.
+    multiplied out, so no factor overflows before another scales it down;
+    for the same reason omega_p omega_s is formed before it is squared.  A
+    value too large to represent is +-inf.  A resonance Delta_n = 0 removes
+    every pair without n: one resonance n leaves the pairs (k, n), two
+    resonances m, n leave the single pair (m, n), and three or more leave
+    nothing, so det H vanishes identically.
     """
     al, be, de = system.alphas, system.betas, system.detunings
     n = system.n_intermediate
@@ -357,7 +359,8 @@ def det_closed_form(system: MultiLambdaSystem, omega_p: float, omega_s: float) -
             if 0.0 in d_rest:
                 continue
             total += math.prod(d_rest) * (al[k] * be[l] - al[l] * be[k]) ** 2
-    return omega_p**2 * omega_s**2 * total
+    fields = omega_p * omega_s
+    return fields * fields * total
 
 
 def _read_only_state(amps: np.ndarray) -> np.ndarray:
@@ -421,7 +424,10 @@ def zero_eigvec_amplitudes(
     be = np.asarray(system.betas)
     de = np.asarray(system.detunings)
     mid = -(al * wp * a_i + be * ws * a_f) / de
-    amps = np.concatenate(([a_i], mid, [a_f])).astype(complex)
+    amps = np.concatenate(([a_i], mid, [a_f]))
+    # Scaled by a power of two to a largest magnitude in [1, 2), so the norm
+    # cannot overflow; ordinary amplitudes keep every bit.
+    amps = np.ldexp(amps, 1 - math.frexp(np.max(np.abs(amps)))[1]).astype(complex)
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("zero end-state amplitudes give an empty vector")

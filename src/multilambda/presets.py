@@ -9,7 +9,7 @@ uniform generator on [0.5, 1.5] and frozen here as literals.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ConfigError
 
 __all__ = ["PRESETS", "preset_names", "preset_text"]
 
@@ -143,4 +143,4 @@ def preset_text(name: str) -> str:
         return PRESETS[name]
     except KeyError:
         known = ", ".join(preset_names())
-        raise ValidationError(f"unknown preset {name!r}; available: {known}") from None
+        raise ConfigError(f"unknown preset {name!r}; available: {known}") from None

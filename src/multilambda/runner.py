@@ -24,7 +24,7 @@ from .config import RunConfig, ScanAxis
 # benchmark's traced run wraps ``runner.propagate`` by name, next to
 # ``classify``, ``lz_estimate`` and ``evaluate_point``.
 from .dynamics import propagate, propagate_batch  # noqa: F401
-from .errors import NoCrossing, NumericalError, ValidationError
+from .errors import ConfigError, NoCrossing, NumericalError
 from .model import MultiLambdaSystem, PulsePair
 
 __all__ = ["ScanRow", "evaluate_point", "run_scan", "format_csv", "report_text"]
@@ -44,7 +44,7 @@ class ScanRow:
 
 def _point_inputs(cfg: RunConfig, value: float | None) -> tuple[MultiLambdaSystem, PulsePair]:
     """The system and pulses at one scan value; a value whose point the
-    constructors refuse is a ValidationError naming it."""
+    constructors refuse is a ConfigError naming it."""
     system = cfg.system
     pulses = cfg.pulses
     if value is None or cfg.scan is None:
@@ -56,7 +56,7 @@ def _point_inputs(cfg: RunConfig, value: float | None) -> tuple[MultiLambdaSyste
         else:
             system = system.with_common_detuning(value)
     except ValueError as exc:
-        raise ValidationError(f"at scan value {value:.9g}: {exc}") from None
+        raise ConfigError(f"at scan value {value:.9g}: {exc}") from None
     return system, pulses
 
 
@@ -171,7 +171,7 @@ def report_text(cfg: RunConfig) -> str:
         try:
             windows = no_at_intervals(system, lo, hi)
         except ValueError as exc:  # a shift within the range gives a refused system
-            raise ValidationError(f"scan range [{lo:.9g}, {hi:.9g}]: {exc}") from None
+            raise ConfigError(f"scan range [{lo:.9g}, {hi:.9g}]: {exc}") from None
         if windows:
             spans = ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in windows)
             lines.append(f"no-transfer windows in [{lo:.6g}, {hi:.6g}]: {spans}")

@@ -352,7 +352,8 @@ def asymptotic_eigenvalues(
     pair ``-/+ beta_n omega_s`` early, ``-/+ alpha_n omega_p`` late; the
     bracket combines the detuning sums taken without n.  Two or more
     resonant states raise PreconditionViolated.  The small eigenvalue is a
-    ratio of scaled sums, so it survives a residual or bracket that underflows.
+    ratio of scaled sums, so it survives a residual or bracket that underflows;
+    an envelope whose square overflows gives an infinite large eigenvalue.
     A ``side`` that is not a :class:`Side` raises ValueError.
     """
     if not isinstance(side, Side):
@@ -368,7 +369,8 @@ def asymptotic_eigenvalues(
         if den.is_zero():
             name = "S_b2" if early else "S_a2"
             raise PreconditionViolated(f"{name} vanishes; {side.value} asymptotics undefined")
-        return AsymptoticEigenvalues(_small(s.residual, den, weak), (-float(den) * strong**2,))
+        large = -float(den) * (strong * strong)
+        return AsymptoticEigenvalues(_small(s.residual, den, weak), (large,))
     n = resonant[0]
     an, bn = system.alphas[n], system.betas[n]
     c = bn if early else an
@@ -379,4 +381,4 @@ def asymptotic_eigenvalues(
 
 def _small(num: _Scaled, den: _Scaled, weak: float) -> float:
     """The small vanishing eigenvalue -num/den weak^2."""
-    return -num.ratio(den) * weak**2
+    return -num.ratio(den) * (weak * weak)

@@ -367,6 +367,13 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr == "error: numeric: step size underflow at t=-4.4e-323\n"
 
+    def test_huge_width_is_3(self, tmp_path):
+        # the stages overflow: NumPy's RuntimeWarnings once came before the error
+        (tmp_path / "run.conf").write_text(SINGLE_RUN.replace("width = 10", "width = 1e100"))
+        proc = run_cli("simulate", "run.conf", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: numeric: step size underflow at t=-4.5e+100\n"
+
     def test_overflowing_scan_span_is_2(self, tmp_path):
         # np.linspace warned twice and made the values nan, inf, 1e308; scan
         # then named "scan value nan", and analyze exited 0

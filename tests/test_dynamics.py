@@ -149,23 +149,6 @@ class TestPropagation:
         assert np.all(np.diff(res.time_grid) > 0)
         assert res.time_grid.size == res.n_accepted + 1 == res.trajectory.shape[0]
 
-    def test_custom_initial_state(self):
-        pul = pulses(30.0)
-        amps = np.zeros(4, dtype=complex)
-        amps[-1] = 1.0
-        res = propagate(LINKED, pul, initial=amps)
-        assert res.final_norm_error < 1e-6
-        assert np.abs(res.trajectory[0, -1]) ** 2 == pytest.approx(1.0)
-
-    def test_initial_state_validation(self):
-        pul = pulses(30.0)
-        with pytest.raises(ValueError):
-            propagate(LINKED, pul, initial=np.zeros(5, dtype=complex))
-        bad = np.zeros(4, dtype=complex)
-        bad[0] = 0.7
-        with pytest.raises(ValueError):
-            propagate(LINKED, pul, initial=bad)
-
     def test_max_intermediate_population(self):
         pul = pulses(30.0)
         systems = {
@@ -200,10 +183,9 @@ def _assert_same_result(a, b):
         b.final_norm_error,
         b.max_intermediate_pop,
     )
-    assert (a.n_accepted, a.n_rejected, a.n_rhs, a.h_min, a.h_max) == (
+    assert (a.n_accepted, a.n_rejected, a.h_min, a.h_max) == (
         b.n_accepted,
         b.n_rejected,
-        b.n_rhs,
         b.h_min,
         b.h_max,
     )
@@ -246,14 +228,11 @@ class TestBatch:
                 _assert_same_result(a, b)
 
     def test_step_counters(self):
-        # twelve stages per attempt; the peak refinement is not counted.
-        # The step is capped at half the pulse width.
+        # the step is capped at half the pulse width
         for res in propagate_batch(DETUNING_POINTS, CHEAP):
-            assert res.n_rhs == 12 * (res.n_accepted + res.n_rejected) + 1
             assert 0.0 < res.h_min <= res.h_max <= 2.0
         res = propagate(LINKED, pulses(30.0))
         assert res.n_rejected >= 1
-        assert res.n_rhs == 12 * (res.n_accepted + res.n_rejected) + 1
         assert 0.0 < res.h_min <= res.h_max <= 15.0
 
     def test_counters_same_alone_and_in_batch(self):
@@ -262,16 +241,6 @@ class TestBatch:
         assert sum(res.n_rejected for res in batched) >= 1
         for (system, pul), res in zip(points, batched):
             _assert_same_result(propagate(system, pul), res)
-
-    def test_initial_states_per_point(self):
-        pul = pulses(10.0)
-        final = np.zeros(4, dtype=complex)
-        final[-1] = 1.0
-        a, b = propagate_batch([(LINKED, pul), (LINKED, pul)], initials=[None, final])
-        _assert_same_result(a, propagate(LINKED, pul))
-        _assert_same_result(b, propagate(LINKED, pul, initial=final))
-        with pytest.raises(ValueError):
-            propagate_batch([(LINKED, pul)], initials=[None, None])
 
     def test_empty_batch_and_mixed_dimensions(self):
         assert propagate_batch([]) == []
@@ -316,6 +285,14 @@ class TestFailureModes:
         with pytest.raises(ToleranceNotMet, match="^step size underflow at t=-45.0$"):
             propagate(LINKED, pulses(10.0), IntegratorConfig(rel_tol=tol, abs_tol=tol))
 
+    @pytest.mark.parametrize("width", [1e100, 1e200, 1e300])
+    def test_huge_width_is_tolerance_not_met(self, width):
+        # the stages overflow; NumPy's overflow RuntimeWarning once escaped
+        # in place of the step size underflow
+        match = f"^step size underflow at t={-4.0 * width}$"
+        with pytest.raises(ToleranceNotMet, match=match.replace("+", r"\+")):
+            propagate(LINKED, PulsePair(1.0, width, 1.0))
+
     def test_tiny_widths_integrate(self):
         # the step floor once held an absolute 1.0, so widths below about
         # 7e-14 failed with a step size underflow.  A tiny pulse pair's area
@@ -355,9 +332,19 @@ class TestDegeneratePrediction:
         assert pred == pytest.approx(PF_PREDICTION_DOUBLE_ZERO, abs=1e-6)
 
     def test_width_independent(self):
-        a = pf_degenerate_prediction(DOUBLE_ZERO, pulses(20.0))
-        b = pf_degenerate_prediction(DOUBLE_ZERO, pulses(80.0))
-        assert a == pytest.approx(b, abs=1e-12)
+        # the rate 4 delay/width^2 once under- or overflowed at extreme widths:
+        # a ZeroDivisionError, an OverflowError or a value off by 2e-6
+        ref = pf_degenerate_prediction(DOUBLE_ZERO, pulses(80.0))
+        for width in (20.0, 1e-300, 1e-160, 1e160, 1e300):
+            got = pf_degenerate_prediction(DOUBLE_ZERO, pulses(width))
+            assert got == pytest.approx(ref, abs=1e-12), width
+
+    @pytest.mark.parametrize("width", [1e-10, 1.0])
+    def test_long_delay_turns_the_angle_fully(self, width):
+        # at delay/width = 1e20 the mixing angle turns within a sliver of the
+        # window, which quadrature over t never sampled: pf came out as 1.0
+        pred = pf_degenerate_prediction(DOUBLE_ZERO, PulsePair(1.0, width, 1e20 * width))
+        assert pred < 1e-9
 
     @pytest.mark.parametrize("width", [20.0, 40.0, 80.0])
     def test_matches_propagation(self, width):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import multilambda
 from multilambda import analysis, config, dynamics, errors, model, runner, spectral
@@ -38,8 +39,10 @@ EARLIER_NAMES = {
 # the detuning sums built per call (``MultiLambdaSystem.sums``), the
 # one-field state wrapper (states are plain complex arrays of N+2 amplitudes),
 # the error classes that each restated ``PreconditionViolated``, whose
-# message now names the failed condition, and the per-label curve lookups
-# (one index into ``track_spectrum``'s stacked fields).
+# message now names the failed condition, the per-label curve lookups
+# (one index into ``track_spectrum``'s stacked fields), and the two kinds of
+# ``ConfigError``, which no caller told apart: the command line exits 2 for
+# both, and a parse error's line is in its message.
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
@@ -48,14 +51,13 @@ REMOVED_NAMES = {
     "asymptotic_eigenvalues_offres", "asymptotic_eigenvalues_res", "NotSingleResonance",
     "s_sums", "StateVector", "ZeroDetuningInSum", "BothEnvelopesZero", "NonSymmetricInput",
     "DegenerateSums", "WrongResonanceCount", "NotProportional", "track_curve", "track_vectors",
+    "ParseError", "ValidationError",
 }
 
 # One error class per way a caller handles a failure, each with its direct base.
 ERROR_TREE = {
     "MultiLambdaError": Exception,
     "ConfigError": errors.MultiLambdaError,
-    "ParseError": errors.ConfigError,
-    "ValidationError": errors.ConfigError,
     "NumericalError": errors.MultiLambdaError,
     "ToleranceNotMet": errors.NumericalError,
     "NormDriftExceeded": errors.NumericalError,
@@ -112,6 +114,7 @@ def test_earlier_exports_kept():
 
 
 def test_error_tree():
+    assert len(ERROR_TREE) == 8
     assert {name: getattr(errors, name).__bases__ for name in errors.__all__} == {
         name: (base,) for name, base in ERROR_TREE.items()
     }
@@ -132,3 +135,18 @@ def test_integrator_config_has_no_window_settings():
     cfg = multilambda.IntegratorConfig
     assert [f.name for f in dataclasses.fields(cfg)] == ["rel_tol", "abs_tol", "store_every"]
     assert not hasattr(cfg, "window")
+
+
+def test_every_propagation_starts_in_the_initial_state():
+    # no start-state option; no right-hand-side counter, which restated
+    # 12 * (n_accepted + n_rejected) + 1
+    assert list(inspect.signature(multilambda.propagate).parameters) == [
+        "system", "pulses", "config"
+    ]
+    assert list(inspect.signature(multilambda.propagate_batch).parameters) == [
+        "points", "config"
+    ]
+    assert [f.name for f in dataclasses.fields(multilambda.PropagationResult)] == [
+        "time_grid", "trajectory", "final_pf", "final_norm_error", "max_intermediate_pop",
+        "n_accepted", "n_rejected", "h_min", "h_max",
+    ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from multilambda import ValidationError, parse_config, run_scan
+from multilambda import ConfigError, parse_config, run_scan
 
 WIDTH_SCAN = """\
 [system]
@@ -47,5 +47,5 @@ def test_refused_scan_point_names_its_value():
         "[system]\nalphas = 1, 2\nbetas = 1, 1\ndetunings = 1e-150, 1e-150\n"
         "\n[scan]\naxis = common_detuning\nstart = -1e-150\nstop = -0.99999e-150\npoints = 3\n"
     )
-    with pytest.raises(ValidationError, match=r"^at scan value -9\.99995e-151: detuning sums"):
+    with pytest.raises(ConfigError, match=r"^at scan value -9\.99995e-151: detuning sums"):
         run_scan(cfg)

@@ -44,6 +44,12 @@ def test_without_seconds_keeps_every_other_byte():
     assert without_seconds(b"a\r\n") != without_seconds(b"a\n")
 
 
+def _copy_src(tmp_path: Path) -> Path:
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
 def _compare(other_src: Path, config: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(TOOL), str(other_src), *CHEAP, "--config", str(config)],
@@ -52,8 +58,7 @@ def _compare(other_src: Path, config: Path) -> subprocess.CompletedProcess:
 
 
 def test_copy_is_same_and_changed_format_differs(tmp_path):
-    copy = tmp_path / "src"
-    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    copy = _copy_src(tmp_path)
     config = tmp_path / "tiny.conf"
     config.write_text(HOSTILE)
     same = _compare(copy, config)
@@ -82,3 +87,31 @@ def test_copy_is_same_and_changed_format_differs(tmp_path):
         f"DIFF  exit 0/0  simulate {config}  (out.csv differ)",
         f"DIFF  exit 0/0  scan {config}  (out.csv differ)",
     ]
+
+
+def _compare_propagations(other_src: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(other_src), "--propagations"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_propagations_of_a_copy_are_same(tmp_path):
+    same = _compare_propagations(_copy_src(tmp_path))
+    assert same.returncode == 0, same.stdout + same.stderr
+    lines = same.stdout.splitlines()
+    assert len(lines) == len(_tool().PROPAGATIONS) + 3  # the batch has four points
+    assert all(line.startswith("same  ") for line in lines), same.stdout
+
+
+def test_propagations_under_a_changed_controller_differ(tmp_path):
+    copy = _copy_src(tmp_path)
+    dynamics = copy / "multilambda" / "dynamics.py"
+    text = dynamics.read_text()
+    assert text.count("\n_SAFETY = 0.9\n") == 1
+    dynamics.write_text(text.replace("\n_SAFETY = 0.9\n", "\n_SAFETY = 0.91\n"))
+    changed = _compare_propagations(copy)
+    assert changed.returncode == 1, changed.stdout + changed.stderr
+    lines = changed.stdout.splitlines()
+    assert len(lines) == len(_tool().PROPAGATIONS) + 3
+    assert all(line.startswith("DIFF  ") and "final_pf" in line for line in lines), changed.stdout

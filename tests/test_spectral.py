@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -524,6 +525,13 @@ class TestAsymptotics:
         for side in ("early", "late", None):
             with pytest.raises(ValueError, match="side must be a Side"):
                 asymptotic_eigenvalues(LINKED, 0.01, 0.5, side)
+
+    def test_huge_field_gives_infinite_large_eigenvalue(self):
+        # omega_s^2 once raised Python's OverflowError, outside the error tree
+        early = asymptotic_eigenvalues(LINKED, 1e-200, 1e200, Side.EARLY)
+        late = asymptotic_eigenvalues(LINKED, 1e200, 1e-200, Side.LATE)
+        assert early.large == late.large == (-math.inf,)
+        assert early.small == late.small == 0.0
 
     def test_validity_side_must_be_a_side(self):
         with pytest.raises(ValueError, match="side must be a Side"):

@@ -2,6 +2,7 @@
 
     python3 tools/same_behaviour.py OTHER_SRC [--scan NAME ...] [--analyze NAME ...]
                                     [--config FILE ...]
+    python3 tools/same_behaviour.py OTHER_SRC --propagations
 
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for example of
 the parent commit exported with ``git archive``.  Each side works in a
@@ -20,13 +21,21 @@ the one column that varies between runs of the same code (a CSV table in
 stdout loses that column too).  One ``same`` or
 ``DIFF`` line is printed per run with both exit codes (this side's first),
 a DIFF line naming the parts that differ.
-The exit status is 1 if any run differs, and 2 if a side would import a
-package other than its own.
+With ``--propagations`` the CLI is not run.  Instead each side runs the
+fixed list ``PROPAGATIONS`` of library calls in an interpreter of its own
+and prints one SHA-256 per field of each ``PropagationResult``, and of the
+error, if one was raised.  One ``same`` or ``DIFF`` line is printed per
+result, a DIFF line naming the fields that differ; a field that one side's
+result does not have is not compared.
+
+The exit status is 1 if any run or result differs, and 2 if a side would
+import a package other than its own or its propagations could not be run.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -38,6 +47,60 @@ ROOT = Path(__file__).resolve().parent.parent
 SCANS = ("n2_detuning_scan_t20", "n5_detuning_scan_t20", "n3_dark_widths", "lz_xi_small_widths")
 # Prints the file a run would import the package from, without importing it.
 WHERE = "import importlib.util as u; print(u.find_spec('multilambda').origin)"
+
+# Systems as (alphas, betas, detunings); pulses as (omega0, width, delay).
+LINKED = ((1, 2), (1, 0.5), (0.5, 1.5))
+BROKEN = ((1, 2), (1, 0.5), (-0.5, 0.5))
+RES_GENERAL = ((1, 2), (1, 0.5), (0, 1))
+TRANSFER = ((1, 1, 1), (1, 2, 1), (1, 2, -1))
+N5 = ((1, 0.827, 1.4873, 0.8187, 1.2885), (1, 1.3699, 0.8911, 0.9379, 0.8727), (0, 1, 2, 3, 4))
+LOOSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
+# (label, points, IntegratorConfig keywords): one point is a ``propagate``
+# call, several are one ``propagate_batch`` call.
+PROPAGATIONS = (
+    ("linked w=0.5", [(LINKED, (1, 0.5, 0.25))], {}),
+    ("linked w=30", [(LINKED, (1, 30, 15))], {}),
+    ("linked w=30 every=1", [(LINKED, (1, 30, 15))], {"store_every": 1}),
+    ("linked w=80 loose", [(LINKED, (1, 80, 40))], LOOSE),
+    ("broken w=20", [(BROKEN, (1, 20, 10))], {}),
+    ("res_general w=5", [(RES_GENERAL, (1, 5, 2.5))], {}),
+    ("res_general w=80 every=1", [(RES_GENERAL, (1, 80, 40))], {"store_every": 1}),
+    ("transfer w=2", [(TRANSFER, (1, 2, 1))], {}),
+    ("transfer w=30 loose every=1", [(TRANSFER, (1, 30, 15))], {**LOOSE, "store_every": 1}),
+    ("n5 w=20", [(N5, (1, 20, 10))], {}),
+    ("n5 w=40 loose", [(N5, (1, 40, 20))], LOOSE),
+    ("batch", [(LINKED, (1, 10, 5)), (RES_GENERAL, (1, 30, 15)), (BROKEN, (0.5, 3, 2)),
+               (LINKED, (2, 60, 20))], {}),
+)
+# Run under one side's package: prints, as JSON, [label, {field: SHA-256}]
+# for each result of each entry of the list given as argv[1].
+PROPAGATE = """
+import ast, dataclasses, hashlib, json, sys
+import numpy as np
+from multilambda import IntegratorConfig, MultiLambdaSystem, PulsePair, propagate, propagate_batch
+
+def digest(value):
+    a = np.asarray(value)
+    return hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
+
+out = []
+for label, points, settings in ast.literal_eval(sys.argv[1]):
+    points = [(MultiLambdaSystem(*system), PulsePair(*pulses)) for system, pulses in points]
+    labels = [label] if len(points) == 1 else [f"{label}[{i}]" for i in range(len(points))]
+    try:
+        if len(points) == 1:
+            results = [propagate(*points[0], IntegratorConfig(**settings))]
+        else:
+            results = propagate_batch(points, IntegratorConfig(**settings))
+    except Exception as exc:
+        error = digest(f"{type(exc).__name__}: {exc}")
+        out += [[name, {"error": error}] for name in labels]
+        continue
+    for name, res in zip(labels, results):
+        fields = {f.name: digest(getattr(res, f.name)) for f in dataclasses.fields(res)}
+        out.append([name, {"error": digest(""), **fields}])
+print(json.dumps(out))
+"""
 
 
 def side_env(src: Path) -> dict[str, str]:
@@ -115,6 +178,18 @@ class Side:
                 outcome[name] = without_seconds(data) if name.endswith(".csv") else data
         return outcome
 
+    def propagations(self) -> list[tuple[str, dict[str, str]]] | None:
+        """Label and field digests of each result of ``PROPAGATIONS``, or
+        None, with the side's stderr printed, if they could not be run."""
+        proc = subprocess.run(
+            [sys.executable, "-c", PROPAGATE, repr(PROPAGATIONS)],
+            cwd=self.work, env=self.env, capture_output=True, text=True,
+        )
+        if proc.returncode:
+            print(f"error: the propagations under {self.src} failed:\n{proc.stderr}")
+            return None
+        return json.loads(proc.stdout)
+
     def imports_own_package(self) -> bool:
         """Whether ``multilambda`` resolves to a file under ``src``."""
         proc = subprocess.run(
@@ -126,6 +201,20 @@ class Side:
         )
 
 
+def compare_propagations(sides: tuple[Side, Side]) -> int:
+    """Print one line per result of ``PROPAGATIONS``; the exit status."""
+    mine, other = (side.propagations() for side in sides)
+    if mine is None or other is None:
+        return 2
+    differ = False
+    for (label, a), (_, b) in zip(mine, other):
+        parts = [name for name in a if name in b and a[name] != b[name]]
+        differ = differ or bool(parts)
+        detail = f"  ({', '.join(parts)} differ)" if parts else ""
+        print(f"{'DIFF' if parts else 'same'}  {label}{detail}")
+    return 1 if differ else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", type=Path, help="src directory of the other checkout")
@@ -135,6 +224,10 @@ def main(argv: list[str] | None = None) -> int:
         "--config", nargs="+", type=Path, default=(), metavar="FILE",
         help="also run simulate, scan and analyze on each of these config files",
     )
+    parser.add_argument(
+        "--propagations", action="store_true",
+        help="compare the fixed list of library propagations instead of CLI runs",
+    )
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as here, tempfile.TemporaryDirectory() as there:
@@ -143,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
             if not side.imports_own_package():
                 print(f"error: a run from {side.src} does not import its own multilambda")
                 return 2
+        if args.propagations:
+            return compare_propagations(sides)
         differ = False
 
         def compare(*cli: str, output: str | None = None, config: Path | None = None,
