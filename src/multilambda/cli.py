@@ -67,6 +67,8 @@ def _write(text: str, path: Path | None, quiet: bool, note: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     if not quiet:
         print(f"wrote {note}")
 

@@ -234,4 +234,6 @@ def load_config(path: str | Path) -> RunConfig:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {p}: {exc}") from None
     return parse_config(text, source=str(p), base_dir=p.parent)

@@ -19,9 +19,10 @@ it takes alone and its result is bitwise the same in any batch.
 
 The intermediate-population peak falls between accepted steps, which are
 long at this order.  The loop keeps the step that ended at the best node and
-the size of the step after it; when the point finishes, those two steps are
-re-taken for that point alone with DOP853's 7th-order dense output, and the
-peak is the maximum of the interpolant.
+the size of the step after it.  When the point finishes, the peak is sampled
+inside those two steps by re-taking, for that point alone, single steps of
+fractions of their sizes from their starts: no interpolant, only the step
+the loop takes, so any one-step method can refine its peak this way.
 
 Every point runs over its pulse pair's window, +-(4*width + delay), where
 the envelopes are below e^-16 of their peak, so the asymptotic populations
@@ -63,11 +64,11 @@ __all__ = [
 # II.10).  Row i of ``_A`` weights stages 0..i-1.  Stages 1-11 are the
 # interior stages of a step; row 12 gives the 8th-order solution, and its
 # stage, evaluated at the step endpoint, doubles as stage 0 of the next step
-# (FSAL).  Stages 13-15 are only evaluated to rebuild the dense output.
+# (FSAL).
 _C = (
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
     0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
-    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+    1.0, 1.0,
 )
 _A_ROWS = (
     (0.05260015195876773,),
@@ -102,26 +103,10 @@ _A_ROWS = (
         -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
         0.04471061572777259,
     ),
-    (
-        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
-        -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
-        -0.008298,
-    ),
-    (
-        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
-        -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
-        -0.00034046500868740456, 0.1413124436746325,
-    ),
-    (
-        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
-        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
-        2.9475147891527724, -9.15095847217987,
-    ),
 )
-_A = np.array([row + (0.0,) * (15 - len(row)) for row in ((), *_A_ROWS)])
+_A = np.array([row + (0.0,) * (12 - len(row)) for row in ((), *_A_ROWS)])
 # ``_E5`` and ``_E3`` are the 5th- and 3rd-order error estimates as weights of
-# stages 0..11; ``_D`` weights stages 0..15 in the four highest coefficients
-# of the 7th-order dense output.
+# stages 0..11.
 _E5 = np.array([
     0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
@@ -131,32 +116,6 @@ _E3 = np.array([
     -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
     0.02265179219836082,
-])
-_D = np.array([
-    [
-        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
-        2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
-        0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-        -4.436036387594894,
-    ],
-    [
-        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
-        -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
-        -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
-        35.81684148639408,
-    ],
-    [
-        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
-        527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
-        0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
-        11.99229113618279,
-    ],
-    [
-        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
-        357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
-        29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
-        -149.72683625798564,
-    ],
 ])
 
 _SAFETY = 0.9
@@ -199,12 +158,12 @@ class PropagationResult:
     ``trajectory[k]`` is the amplitude vector at ``time_grid[k]``, so
     ``np.abs(trajectory) ** 2`` are the populations.
     ``max_intermediate_pop`` is the transient maximum of the intermediate
-    population: the largest value of the 7th-order dense output on the two
-    accepted steps around the best accepted node (sampled, then refined at a
-    parabola's vertex), never below that node's value, and independent of
-    ``store_every`` and of the batch.  ``h_min``/``h_max`` are the smallest
-    and largest accepted step, the last step, clipped to the window end,
-    included.
+    population: the largest value reached by single steps re-taken inside
+    the two accepted steps around the best accepted node (sampled, then
+    refined at a parabola's vertex), never below that node's value, and
+    independent of ``store_every`` and of the batch.  ``h_min``/``h_max``
+    are the smallest and largest accepted step, the last step, clipped to
+    the window end, included.
     """
 
     time_grid: np.ndarray
@@ -218,15 +177,16 @@ class PropagationResult:
     h_max: float
 
 
-# Stage times, as fractions of h, of the twelve stages evaluated per step and
-# of the sixteen that rebuild one step's dense output.
-_C_STEP = np.array(_C[1:13])
-_C_DENSE = np.array(_C)
+# Stage times, as fractions of h, of all thirteen stages, and of the twelve
+# a step evaluates after the FSAL stage.
+_C_ALL = np.array(_C)
+_C_STEP = _C_ALL[1:]
 _E53 = np.array([_E5, _E3])
 _FAC_LO = 1.0 / _MAX_GROW
 _FAC_HI = 1.0 / _MAX_SHRINK
 _TINY = np.finfo(float).tiny
-# Fractions of a step at which the dense output is sampled for the peak.
+# Sizes, as fractions of an accepted step, of the steps re-taken to sample
+# the peak.
 _PEAK_SAMPLES = np.linspace(0.0, 1.0, 9)
 
 
@@ -264,35 +224,19 @@ def _mid_population(states: np.ndarray) -> np.ndarray:
     return np.add.reduce((np.abs(states) ** 2)[:, 1:-1], axis=-1)
 
 
-def _dense_step(consts: tuple, t0: float, y0: np.ndarray, h: float):
-    """Re-take one step of size ``h`` from ``(t0, y0)`` with its dense output.
+def _retaken(consts: tuple, t0: float, y0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """States after single steps of the sizes ``h`` (shape (m,)) from ``(t0, y0)``.
 
     ``y0`` is one row, shape (1, N+2), and ``consts`` that row's
-    Hamiltonian constants.  Returns the endpoint state and the 7th-order
-    interpolant, a function of step fractions ``x`` (shape (m,)) giving the
-    states at ``t0 + x h``, shape (m, N+2).
+    Hamiltonian constants.  The m steps are the rows of one stage
+    evaluation, each the step the loop takes from ``(t0, y0)`` with that
+    size; returns their endpoint states, shape (m, N+2).
     """
-    g = _generators(t0 + _C_DENSE[None, :] * h, *consts)
-    k = np.empty((16, *y0.shape), dtype=complex)
+    hc = h[:, None]
+    g = _generators(t0 + _C_ALL * hc, *consts)
+    k = np.empty((13, h.size, y0.shape[1]), dtype=complex)
     k[0] = _rhs(g[0], y0)
-    y1 = _stages(k, y0, h, g[1:], 1, 13)
-    _stages(k, y0, h, g[1:], 13, 16)
-    dy = (y1 - y0)[0]
-    f = np.empty((7, y0.shape[1]), dtype=complex)
-    f[0] = dy
-    f[1] = h * k[0, 0] - dy
-    f[2] = 2 * dy - h * (k[12, 0] + k[0, 0])
-    f[3:] = h * np.add.reduce(_D[:, :, None] * k[None, :, 0], axis=1)
-
-    def at(x: np.ndarray) -> np.ndarray:
-        x = x[:, None]
-        acc = np.zeros((x.shape[0], f.shape[1]), dtype=complex)
-        for i, fi in enumerate(f[::-1]):
-            acc += fi
-            acc *= x if i % 2 == 0 else 1.0 - x
-        return acc + y0
-
-    return y1, at
+    return _stages(k, y0, hc, g[1:], 1, 13)
 
 
 def _refined_peak(
@@ -300,26 +244,26 @@ def _refined_peak(
 ) -> float:
     """Intermediate-population maximum around the best accepted node.
 
-    Rebuilds the dense output of the step that ended at the node (from
-    ``(t0, y0)``, size ``h_before``) and of the step after it (size
+    Re-takes, from the start ``(t0, y0)`` of the step that ended at the node
+    (size ``h_before``), single steps of nine fractions of that size, and
+    from the node single steps of nine fractions of the step after it (size
     ``h_after``); a size of 0 stands for a step that does not exist.  The
-    interpolant is sampled at nine points per step, and at the vertex of the
-    parabola through the best sample and its neighbours.  The result is
-    never below ``node_max``.
+    population is sampled at their ends, and at the vertex of the parabola
+    through the best sample and its neighbours, reached by one more step
+    from the start of the step it falls in.  The result is never below
+    ``node_max``.
     """
-    steps = []
+    steps, times, values = [], [], []
     for h in (h_before, h_after):
         if h > 0:
-            y1, at = _dense_step(consts, t0, y0, h)
-            steps.append((t0, h, at))
-            t0, y0 = t0 + h, y1
+            x = _PEAK_SAMPLES[1:] if steps else _PEAK_SAMPLES  # the shared node once
+            ends = _retaken(consts, t0, y0, x * h)
+            steps.append((t0, y0, h))
+            times.append(t0 + x * h)
+            values.append(_mid_population(ends))
+            t0, y0 = t0 + h, ends[-1:]
     if not steps:
         return node_max
-    times, values = [], []
-    for j, (ts, h, at) in enumerate(steps):
-        x = _PEAK_SAMPLES[1:] if j else _PEAK_SAMPLES  # the shared node once
-        times.append(ts + x * h)
-        values.append(_mid_population(at(x)))
     tv, pv = np.concatenate(times), np.concatenate(values)
     i = int(np.argmax(pv))
     best = max(node_max, float(pv[i]))
@@ -329,10 +273,10 @@ def _refined_peak(
         den = a * db - b * da
         if den > 0:
             vertex = tv[i] - 0.5 * (a * a * db - b * b * da) / den
-            for ts, h, at in steps:
+            for ts, ys, h in steps:
                 if ts <= vertex <= ts + h:
-                    x = np.array([(vertex - ts) / h])
-                    best = max(best, float(_mid_population(at(x))[0]))
+                    end = _retaken(consts, ts, ys, np.array([vertex - ts]))
+                    best = max(best, float(_mid_population(end)[0]))
                     break
     return best
 

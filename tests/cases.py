@@ -105,6 +105,16 @@ PEAK_MID_W30 = {
     "broken": 0.9144172898546171,
 }
 
+# Pinned: the same at width 4, computed the same way.  At this width an
+# accepted step is a larger share of the pulse than at width 30.
+PEAK_MID_W4 = {
+    "linked": 0.28024652782906584,
+    "res_general": 0.5383796409223427,
+    "dark3": 0.02338225910870067,
+    "transfer": 0.35636273955522724,
+    "broken": 0.9202313030241787,
+}
+
 # Pinned: boundaries of the no-transfer window of SCAN_BASE, exact roots of
 # 1/x + 4/(1+x) = 0 and 1/x + 0.25/(1+x) = 0.
 WINDOW_BOUNDS = (-0.8, -0.2)

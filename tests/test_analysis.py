@@ -90,6 +90,10 @@ CLASSIFICATION_TABLE = [
      "detuning-sums-same-sign"),
     (MultiLambdaSystem((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 0, 1)), Regime.DEGENERATE_RESONANT,
      ZeroEigenvalue.STRUCTURAL, AtState.EXISTS_DARK, "proportional-dark-state"),
+    # |S_a2 S_b2| is 9e-9 of the scale product, just outside the marginal
+    # band of 1e-9: pins the band's edge
+    (MultiLambdaSystem((1, 1), (1, 2), (1.0, -1.00000003)), Regime.OFF_RESONANT,
+     ZeroEigenvalue.NONE, AtState.NOT_EXISTS, "detuning-sums-opposite-sign"),
 ]
 
 

@@ -327,6 +327,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: config: cannot write ")
 
+    def test_config_that_is_not_utf8_is_2(self, tmp_path):
+        # a UnicodeDecodeError traceback with exit 1 once
+        (tmp_path / "bad.conf").write_bytes(SINGLE_RUN.replace("1, 2", "1, \xff").encode("latin-1"))
+        proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: cannot read config bad.conf: ")
+        assert "0xff" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_output_path_with_nul_byte_is_2(self, tmp_path):
+        # ValueError: embedded null byte, exit 1, once
+        (tmp_path / "run.conf").write_text(SMALL_SCAN + "\n[output]\ncsv = a\x00b.csv\n")
+        proc = run_cli("scan", "run.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: cannot write ")
+        assert proc.stderr.endswith("a\x00b.csv: embedded null byte\n")
+
     def test_usage_error_is_2(self, tmp_path):
         proc = run_cli(cwd=tmp_path)
         assert proc.returncode == 2

@@ -33,6 +33,7 @@ from cases import (
     LINKED,
     NON_FINITE,
     PEAK_MID_W30,
+    PEAK_MID_W4,
     PF_PREDICTION_DOUBLE_ZERO,
     RES_DARK,
     RES_GENERAL,
@@ -89,11 +90,12 @@ class TestPropagation:
     def test_tableau_is_dop853(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
 
-        assert np.array_equal(dynamics._C, ref.C)
-        assert np.array_equal(dynamics._A, ref.A[:, :15]) and not ref.A[:, 15].any()
+        # the twelve stages of a step and the FSAL stage; SciPy's last three
+        # stages serve only its dense output
+        assert np.array_equal(dynamics._C, ref.C[:13])
+        assert np.array_equal(dynamics._A, ref.A[:13, :12]) and not ref.A[:13, 12:].any()
         for mine, theirs in ((dynamics._E5, ref.E5), (dynamics._E3, ref.E3)):
             assert np.array_equal(mine, theirs[:12]) and theirs[12] == 0.0
-        assert np.array_equal(dynamics._D, ref.D)
 
     def test_norm_drift_below_budget_at_defaults(self):
         pul = pulses(30.0)
@@ -150,7 +152,6 @@ class TestPropagation:
         assert res.time_grid.size == res.n_accepted + 1 == res.trajectory.shape[0]
 
     def test_max_intermediate_population(self):
-        pul = pulses(30.0)
         systems = {
             "linked": LINKED,
             "res_general": RES_GENERAL,
@@ -158,15 +159,16 @@ class TestPropagation:
             "transfer": TRANSFER,
             "broken": BROKEN,
         }
-        for name, system in systems.items():
-            # every accepted node is stored; the peak between nodes is refined
-            res = propagate(system, pul, IntegratorConfig(store_every=1))
-            mids = (np.abs(res.trajectory[:, 1:-1]) ** 2).sum(axis=1)
-            assert res.max_intermediate_pop >= np.max(mids), name
-            assert res.max_intermediate_pop == pytest.approx(
-                PEAK_MID_W30[name], rel=1e-9, abs=0
-            ), name
-            assert propagate(system, pul).max_intermediate_pop == res.max_intermediate_pop, name
+        # at width 4 the accepted steps are long next to the pulse
+        for width, pins, rel in ((30.0, PEAK_MID_W30, 1e-9), (4.0, PEAK_MID_W4, 1e-8)):
+            pul = pulses(width)
+            for name, system in systems.items():
+                # every accepted node is stored; the peak between nodes is refined
+                res = propagate(system, pul, IntegratorConfig(store_every=1))
+                mids = (np.abs(res.trajectory[:, 1:-1]) ** 2).sum(axis=1)
+                assert res.max_intermediate_pop >= np.max(mids), name
+                assert res.max_intermediate_pop == pytest.approx(pins[name], rel=rel, abs=0), name
+                assert propagate(system, pul).max_intermediate_pop == res.max_intermediate_pop, name
 
     def test_step_rejection_is_exercised(self):
         res = propagate(LINKED, pulses(30.0))

@@ -44,6 +44,18 @@ def test_without_seconds_keeps_every_other_byte():
     assert without_seconds(b"a\r\n") != without_seconds(b"a\n")
 
 
+def test_csv_columns_counts_the_rows_of_each_column():
+    csv_columns = _tool().csv_columns
+    old = b"scan_value,pf,max_intermediate_pop\n1,0.5,0.25\n2,0.5,0.125\n3,0.5,0.1\n"
+    new = b"scan_value,pf,max_intermediate_pop\n1,0.5,0.25\n2,0.5,0.1250001\n3,0.4,0.2\n"
+    assert csv_columns(old, new) == "pf in 1 row, max_intermediate_pop in 2 rows"
+    # no column is named where the tables do not line up
+    assert csv_columns(old, new.replace(b"pf", b"p")) == ""
+    assert csv_columns(old, new + b"4,0.5,0.1\n") == ""
+    assert csv_columns(old, new.replace(b"3,0.4", b"3,0,4")) == ""
+    assert csv_columns(old, old.replace(b"\n", b"\r\n")) == ""
+
+
 def _copy_src(tmp_path: Path) -> Path:
     copy = tmp_path / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
@@ -83,9 +95,12 @@ def test_copy_is_same_and_changed_format_differs(tmp_path):
     changed = _compare(copy, config)
     assert changed.returncode == 1, changed.stdout + changed.stderr
     assert [line for line in changed.stdout.splitlines() if line.startswith("DIFF")] == [
-        "DIFF  exit 0/0  scan n2_linked_time.conf  (n2_linked_time.csv differ)",
-        f"DIFF  exit 0/0  simulate {config}  (out.csv differ)",
-        f"DIFF  exit 0/0  scan {config}  (out.csv differ)",
+        "DIFF  exit 0/0  scan n2_linked_time.conf  (n2_linked_time.csv differ: "
+        "pf in 1 row, max_intermediate_pop in 1 row, xi in 1 row)",
+        f"DIFF  exit 0/0  simulate {config}  (out.csv differ: max_intermediate_pop in 1 row, "
+        "xi in 1 row)",
+        f"DIFF  exit 0/0  scan {config}  (out.csv differ: max_intermediate_pop in 1 row, "
+        "xi in 1 row)",
     ]
 
 

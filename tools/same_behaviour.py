@@ -20,7 +20,9 @@ config, the report bytes, or the CSV bytes without the ``seconds`` column,
 the one column that varies between runs of the same code (a CSV table in
 stdout loses that column too).  One ``same`` or
 ``DIFF`` line is printed per run with both exit codes (this side's first),
-a DIFF line naming the parts that differ.
+a DIFF line naming the parts that differ and, for a CSV file whose two
+tables have the same header and length, the columns that differ and in how
+many rows, for example ``(out.csv differ: max_intermediate_pop in 3 rows)``.
 With ``--propagations`` the CLI is not run.  Instead each side runs the
 fixed list ``PROPAGATIONS`` of library calls in an interpreter of its own
 and prints one SHA-256 per field of each ``PropagationResult``, and of the
@@ -132,6 +134,29 @@ def without_seconds(data: bytes) -> bytes:
             end = lines[i][len(b",".join(row)):]
             lines[i] = b",".join(row[:drop] + row[drop + 1 :]) + end
     return b"".join(lines)
+
+
+def csv_columns(mine: bytes, other: bytes) -> str:
+    """The columns in which two CSV tables differ, each with the number of
+    rows it differs in, for example ``pf in 1 row, xi in 2 rows``.
+
+    The first line of each is the header.  Empty if the headers or the
+    numbers of lines or of fields in a line differ, or no field does.
+    """
+    tables = [[line.split(b",") for line in data.splitlines()] for data in (mine, other)]
+    if not tables[0] or len(tables[0]) != len(tables[1]) or tables[0][0] != tables[1][0]:
+        return ""
+    header = tables[0][0]
+    counts = [0] * len(header)
+    for a, b in zip(*tables):
+        if not len(a) == len(b) == len(header):
+            return ""
+        for j, (x, y) in enumerate(zip(a, b)):
+            counts[j] += x != y
+    return ", ".join(
+        f"{name.decode()} in {n} row{'' if n == 1 else 's'}"
+        for name, n in zip(header, counts) if n
+    )
 
 
 class Side:
@@ -248,9 +273,14 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 mine, other = (side.run_config(cli[0], config, where) for side in sides)
             parts = [key for key in {**mine, **other} if mine.get(key) != other.get(key)]
+            named = [
+                csv_columns(mine[key], other[key]) for key in parts
+                if key.endswith(".csv") and mine.get(key) and other.get(key)
+            ]
+            columns = "".join(f": {n}" for n in named if n)
             differ = differ or bool(parts)
             verdict = "DIFF" if parts else "same"
-            detail = f"  ({', '.join(parts)} differ)" if parts else ""
+            detail = f"  ({', '.join(parts)} differ{columns})" if parts else ""
             print(f"{verdict}  exit {mine['exit']}/{other['exit']}  {' '.join(cli)}{detail}")
             return mine
 
