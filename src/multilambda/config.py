@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig
 from .errors import ConfigError
-from .model import MultiLambdaSystem, PulsePair
+from .model import MultiLambdaSystem, PulsePair, _real
 
 __all__ = [
     "ScanAxis",
@@ -66,6 +66,8 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", ScanAxis(self.axis))
+        _real("scan start", self.start)
+        _real("scan stop", self.stop)
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("scan endpoints must be finite")
         if self.start == self.stop:
@@ -141,7 +143,7 @@ def _boolean(text: str) -> bool:
 _SECTIONS = {
     "system": {"n": _integer, "alphas": _numbers, "betas": _numbers, "detunings": _numbers},
     "pulses": {"omega0": _number, "width": _number, "delay": _number},
-    "integrator": {"rel_tol": _number, "abs_tol": _number, "store_every": _integer},
+    "integrator": {"rel_tol": _number, "abs_tol": _number},
     "scan": {"axis": str, "start": _number, "stop": _number, "points": _integer,
              "log_scale": _boolean},
     "output": {"csv": Path, "report": Path},

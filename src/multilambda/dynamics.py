@@ -13,9 +13,12 @@ trajectory, and each row of the batch state.  One loop serves one point or
 many: a batch of B points of one dimension is advanced in lockstep as a
 ``(B, N+2)`` state, with the twelve stage generators -i H(t + c_i h) of a
 step built in one broadcast.  Each point keeps its own window, step size,
-controller state, audits and stored trajectory, and the stage and error sums
-are fixed-order elementwise operations, so a point takes exactly the steps
-it takes alone and its result is bitwise the same in any batch.
+controller state and audits, and the stage and error sums are fixed-order
+elementwise operations, so a point takes exactly the steps it takes alone
+and its result is bitwise the same in any batch.
+
+What a result stores is the entry point's choice, not a setting: one
+propagation keeps every accepted node, a batch only each window's two ends.
 
 The intermediate-population peak falls between accepted steps, which are
 long at this order.  The loop keeps the step that ended at the best node and
@@ -47,6 +50,7 @@ from .errors import (
 from .model import (
     MultiLambdaSystem,
     PulsePair,
+    _real,
     build_hamiltonian,
     gaussian_envelopes,
 )
@@ -127,28 +131,22 @@ _NORM_BUDGET = 1e-6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-control and storage settings for one propagation.
+    """Step-control settings for one propagation.
 
-    Every ``store_every``-th accepted step is kept in the returned
-    trajectory.  The window and the step cap are not settings: each point
-    runs over its pulse pair's own window, with its step capped at half the
-    pulse width.
+    The window and the step cap are not settings: each point runs over its
+    pulse pair's own window, with its step capped at half the pulse width.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    store_every: int = 10
 
     def __post_init__(self) -> None:
+        _real("rel_tol", self.rel_tol)
+        _real("abs_tol", self.abs_tol)
         if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)):
             raise ValueError("integrator settings must be finite")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        every = self.store_every
-        if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
-            raise ValueError("store_every must be an integer")
-        if self.store_every < 1:
-            raise ValueError("store_every must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,14 +154,16 @@ class PropagationResult:
     """Stored trajectory of one propagation, with its step statistics.
 
     ``trajectory[k]`` is the amplitude vector at ``time_grid[k]``, so
-    ``np.abs(trajectory) ** 2`` are the populations.
-    ``max_intermediate_pop`` is the transient maximum of the intermediate
-    population: the largest value reached by single steps re-taken inside
-    the two accepted steps around the best accepted node (sampled, then
-    refined at a parabola's vertex), never below that node's value, and
-    independent of ``store_every`` and of the batch.  ``h_min``/``h_max``
-    are the smallest and largest accepted step, the last step, clipped to
-    the window end, included.
+    ``np.abs(trajectory) ** 2`` are the populations.  A result of
+    :func:`propagate` holds every accepted node, so ``time_grid.size ==
+    n_accepted + 1``; a result of :func:`propagate_batch` holds only the
+    window's start and end.  ``max_intermediate_pop`` is the transient
+    maximum of the intermediate population: the largest value reached by
+    single steps re-taken inside the two accepted steps around the best
+    accepted node (sampled, then refined at a parabola's vertex), never
+    below that node's value, and independent of what is stored and of the
+    batch.  ``h_min``/``h_max`` are the smallest and largest accepted step,
+    the last step, clipped to the window end, included.
     """
 
     time_grid: np.ndarray
@@ -288,13 +288,14 @@ def propagate(
 ) -> PropagationResult:
     """Integrate the Schrodinger equation across the pulse sequence.
 
-    Starts with all population in the initial state and returns the stored
-    trajectory.  Raises ToleranceNotMet when the step
+    Starts with all population in the initial state and returns the
+    trajectory at every accepted node.  Raises ToleranceNotMet when the step
     controller stalls at the minimum step and NormDriftExceeded when the norm
-    leaves 1 by more than 1e-6 at any accepted step.  This is a batch of one
-    through :func:`propagate_batch`.
+    leaves 1 by more than 1e-6 at any accepted step.  The point takes the
+    steps it takes in :func:`propagate_batch`, and every result field but
+    the stored nodes is bitwise the batch's.
     """
-    return propagate_batch([(system, pulses)], config)[0]
+    return _lockstep([(system, pulses)], config, every_node=True)[0]
 
 
 def propagate_batch(
@@ -307,12 +308,18 @@ def propagate_batch(
     state held as one ``(B, N+2)`` array.  Every point keeps its own window,
     step size and controller state, so it takes exactly the steps it takes
     alone, and its result does not depend on the other points of the batch.
-    A point drops out of the batch when it reaches its window end.
+    A point drops out of the batch when it reaches its window end.  Each
+    result stores only the window's two ends: the start and the end state.
 
     When points fail, the error of the first failing point in batch order is
     raised once every point before it has finished, with that point's
     position in its ``point`` attribute; points after it are abandoned.
     """
+    return _lockstep(points, config, every_node=False)
+
+
+def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
+    """The loop of :func:`propagate_batch`; ``every_node`` stores each accepted node."""
     cfg = config if config is not None else IntegratorConfig()
     if not points:
         return []
@@ -345,9 +352,6 @@ def propagate_batch(
     )
 
     idx = np.arange(size)
-    # Clipped to the step counter's dtype so the modulo cannot overflow; no
-    # step count reaches the clipped value either.
-    store_every = min(cfg.store_every, np.iinfo(int).max)
     k0 = _rhs(_generators(t[:, None], *consts)[0], y)
     just_rejected = np.zeros(size, dtype=bool)
     n_acc = np.zeros(size, dtype=int)
@@ -369,7 +373,7 @@ def propagate_batch(
 
     def finish(b: int) -> None:
         p = int(idx[b])
-        if times[p][-1] != t[b]:  # a step may have stored the end already
+        if times[p][-1] != t[b]:  # a node may be the end already
             times[p].append(float(t[b]))
             states[p].append(y[b].copy())
         final_norm_error = abs(float(np.linalg.norm(y[b])) - 1.0)
@@ -464,17 +468,15 @@ def propagate_batch(
             rejected_before = not every
 
             # Audits of the accepted steps: norm budget, intermediate
-            # population, stored trajectory, finished points.
+            # population, stored nodes, finished points.
             pops = np.abs(y) ** 2
             total = np.add.reduce(pops, axis=-1)
             mid = total - pops[:, 0] - pops[:, -1]
             drift = np.abs(np.sqrt(total) - 1.0)
-            stored = n_acc % store_every == 0
             drop = drift > _NORM_BUDGET
             better = mid > max_mid
             if not every:
                 better &= accepted
-                stored &= accepted
                 drop &= accepted
             if waiting_any:
                 after_h = np.where(waiting & accepted, h_step, after_h)
@@ -486,10 +488,8 @@ def propagate_batch(
                 peak_h = np.where(better, h_step, peak_h)
                 waiting |= better
             waiting_any = bool(waiting.any())
-            if any_last:
-                stored &= ~last
-            if stored.any():
-                for b in np.flatnonzero(stored):
+            if every_node:  # finish() stores the end
+                for b in np.flatnonzero(accepted & ~last):
                     times[idx[b]].append(float(t[b]))
                     states[idx[b]].append(y[b].copy())
             if drop.any():

@@ -23,6 +23,7 @@ a scaled form; ``float()`` gives the plain value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,6 +48,17 @@ PROPORTIONALITY_RTOL = 1e-12
 
 # Relative tolerance of SSums' zero tests on detuning-sum expressions.
 _ZERO_RTOL = 1e-9
+
+
+def _real(name: str, value) -> float:
+    """``float(value)``; a ValueError naming ``name`` if it is not a real number
+    or is an integer too large for a float."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
 
 
 def gaussian_envelopes(t, omega0, width, delay):
@@ -74,6 +86,8 @@ class PulsePair:
     delay: float
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "width", "delay"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not all(map(math.isfinite, (self.omega0, self.width, self.delay))):
             raise ValueError("pulse parameters must be finite")
         # omega0 == 0 is allowed as the fields-off limit; negative makes no sense.
@@ -92,7 +106,7 @@ class PulsePair:
 
     def default_window(self) -> tuple[float, float]:
         """Propagation window wide enough that envelopes are below e^-16 of peak."""
-        half = 4.0 * float(self.width) + float(self.delay)  # overflows to inf, never warns
+        half = 4.0 * self.width + self.delay  # floats: overflows to inf, never warns
         return (-half, half)
 
 
@@ -116,9 +130,9 @@ class MultiLambdaSystem:
     sums: SSums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alphas = tuple(float(a) for a in self.alphas)
-        betas = tuple(float(b) for b in self.betas)
-        detunings = tuple(float(d) for d in self.detunings)
+        alphas = tuple(_real("alphas", a) for a in self.alphas)
+        betas = tuple(_real("betas", b) for b in self.betas)
+        detunings = tuple(_real("detunings", d) for d in self.detunings)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "detunings", detunings)

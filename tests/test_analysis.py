@@ -94,6 +94,10 @@ CLASSIFICATION_TABLE = [
     # band of 1e-9: pins the band's edge
     (MultiLambdaSystem((1, 1), (1, 2), (1.0, -1.00000003)), Regime.OFF_RESONANT,
      ZeroEigenvalue.NONE, AtState.NOT_EXISTS, "detuning-sums-opposite-sign"),
+    # coupling ratios 1e-11 apart, outside the proportionality tolerance of
+    # 1e-12: pins that tolerance's edge
+    (MultiLambdaSystem((1, 1), (1, 1 + 1e-11), (1, 2)), Regime.OFF_RESONANT,
+     ZeroEigenvalue.SIMPLE, AtState.EXISTS_GENERAL, "zero-eigenvalue-transfer-state"),
 ]
 
 

@@ -39,7 +39,6 @@ delay = 15
 [integrator]
 rel_tol = 1e-9
 abs_tol = 1e-11
-store_every = 5
 
 [scan]
 axis = common_detuning
@@ -67,6 +66,38 @@ def test_section_keys_are_dataclass_fields():
     assert set(sections["scan"]) == _init_fields(ScanSpec)
 
 
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: PulsePair("1", 30, 15), "omega0 must be a real number, not str"),
+        (lambda: PulsePair(None, 30, 15), "omega0 must be a real number, not NoneType"),
+        (lambda: PulsePair(1, 30, [15]), "delay must be a real number, not list"),
+        (lambda: IntegratorConfig(rel_tol="1e-10"), "rel_tol must be a real number, not str"),
+        (lambda: IntegratorConfig(abs_tol=1e-12 + 0j),
+         "abs_tol must be a real number, not complex"),
+        (lambda: ScanSpec("pulse_width", "1", 2, 3), "scan start must be a real number, not str"),
+        (lambda: ScanSpec("pulse_width", 1, None, 3),
+         "scan stop must be a real number, not NoneType"),
+        (lambda: MultiLambdaSystem((None,), (1,), (1,)),
+         "alphas must be a real number, not NoneType"),
+        (lambda: MultiLambdaSystem((1, 1), (1, 1j), (1, 2)),
+         "betas must be a real number, not complex"),
+        (lambda: MultiLambdaSystem((1,), (1,), ("2",)),
+         "detunings must be a real number, not str"),
+        # integers too large for a float: an OverflowError from float()
+        (lambda: PulsePair(1, 10**400, 15), "width must be finite"),
+        (lambda: MultiLambdaSystem((1,), (1,), (10**400,)), "detunings must be finite"),
+    ],
+    ids=["str", "none", "list", "str-tol", "complex-tol", "str-start", "none-stop",
+         "none-alpha", "complex-beta", "str-detuning", "huge-int-width", "huge-int-detuning"],
+)
+def test_wrong_kind_is_value_error(build, message):
+    # each was a TypeError or an OverflowError
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestParsing:
     def test_full_round_trip(self, tmp_path):
         cfg = parse_config(FULL_TEXT, source="full.conf", base_dir=tmp_path)
@@ -78,7 +109,6 @@ class TestParsing:
         assert cfg.pulses.delay == 15.0
         assert cfg.integrator.rel_tol == 1e-9
         assert cfg.integrator.abs_tol == 1e-11
-        assert cfg.integrator.store_every == 5
         assert cfg.scan.axis is ScanAxis.COMMON_DETUNING
         assert cfg.scan.points == 61
         assert cfg.output.csv_path == tmp_path / "out" / "result.csv"

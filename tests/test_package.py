@@ -131,9 +131,10 @@ def test_removed_members_stay_removed():
 
 def test_integrator_config_has_no_window_settings():
     # the pulses set the window and the step cap: t_start, t_end, max_step
-    # and window() are gone
+    # and window() are gone; the entry point, not store_every, decides
+    # which nodes a result stores
     cfg = multilambda.IntegratorConfig
-    assert [f.name for f in dataclasses.fields(cfg)] == ["rel_tol", "abs_tol", "store_every"]
+    assert [f.name for f in dataclasses.fields(cfg)] == ["rel_tol", "abs_tol"]
     assert not hasattr(cfg, "window")
 
 

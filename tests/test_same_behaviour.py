@@ -128,5 +128,5 @@ def test_propagations_under_a_changed_controller_differ(tmp_path):
     changed = _compare_propagations(copy)
     assert changed.returncode == 1, changed.stdout + changed.stderr
     lines = changed.stdout.splitlines()
-    assert len(lines) == len(_tool().PROPAGATIONS) + 3
+    assert len(lines) == 12  # eight single points and a batch of four
     assert all(line.startswith("DIFF  ") and "final_pf" in line for line in lines), changed.stdout

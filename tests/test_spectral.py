@@ -462,6 +462,8 @@ class TestAsymptotics:
         assert not asymptotics_valid(far, pul, 0.0, Side.EARLY)
         assert asymptotics_valid(far, pul, 60.0, Side.LATE)
         assert not asymptotics_valid(far, pul, -60.0, Side.LATE)
+        # envelope ratio 0.150, coupling parameter 0.041: pins the ratio's bound
+        assert not asymptotics_valid(far, pul, 28.5, Side.LATE)
 
     def test_validity_knows_the_detunings(self):
         # Late side at width 30: at t=+60 the envelope ratio is small but
@@ -472,6 +474,8 @@ class TestAsymptotics:
         assert 4.0 * wp == pytest.approx(0.4216, abs=1e-4)
         assert not asymptotics_valid(BROKEN, pul, 60.0, Side.LATE)
         assert asymptotics_valid(BROKEN, pul, 87.0, Side.LATE)
+        # coupling parameter 0.15, envelope ratio 0.015: pins that bound
+        assert not asymptotics_valid(LINKED, pul, 63.3, Side.LATE)
         # the envelope-ratio condition still applies
         assert not asymptotics_valid(BROKEN, pul, -87.0, Side.LATE)
         assert asymptotics_valid(BROKEN, pul, -87.0, Side.EARLY)

@@ -58,17 +58,15 @@ TRANSFER = ((1, 1, 1), (1, 2, 1), (1, 2, -1))
 N5 = ((1, 0.827, 1.4873, 0.8187, 1.2885), (1, 1.3699, 0.8911, 0.9379, 0.8727), (0, 1, 2, 3, 4))
 LOOSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
 # (label, points, IntegratorConfig keywords): one point is a ``propagate``
-# call, several are one ``propagate_batch`` call.
+# call, which stores every accepted node, and several are one
+# ``propagate_batch`` call, whose results store their windows' two ends.
 PROPAGATIONS = (
     ("linked w=0.5", [(LINKED, (1, 0.5, 0.25))], {}),
     ("linked w=30", [(LINKED, (1, 30, 15))], {}),
-    ("linked w=30 every=1", [(LINKED, (1, 30, 15))], {"store_every": 1}),
     ("linked w=80 loose", [(LINKED, (1, 80, 40))], LOOSE),
     ("broken w=20", [(BROKEN, (1, 20, 10))], {}),
     ("res_general w=5", [(RES_GENERAL, (1, 5, 2.5))], {}),
-    ("res_general w=80 every=1", [(RES_GENERAL, (1, 80, 40))], {"store_every": 1}),
     ("transfer w=2", [(TRANSFER, (1, 2, 1))], {}),
-    ("transfer w=30 loose every=1", [(TRANSFER, (1, 30, 15))], {**LOOSE, "store_every": 1}),
     ("n5 w=20", [(N5, (1, 20, 10))], {}),
     ("n5 w=40 loose", [(N5, (1, 40, 20))], LOOSE),
     ("batch", [(LINKED, (1, 10, 5)), (RES_GENERAL, (1, 30, 15)), (BROKEN, (0.5, 3, 2)),
