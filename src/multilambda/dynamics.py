@@ -11,11 +11,15 @@ Every propagation starts with all population in the initial state |i>.  A
 state is a plain complex array of N+2 amplitudes: each row of a result's
 trajectory, and each row of the batch state.  One loop serves one point or
 many: a batch of B points of one dimension is advanced in lockstep as a
-``(B, N+2)`` state, with the twelve stage generators -i H(t + c_i h) of a
-step built in one broadcast.  Each point keeps its own window, step size,
-controller state and audits, and the stage and error sums are fixed-order
-elementwise operations, so a point takes exactly the steps it takes alone
-and its result is bitwise the same in any batch.
+``(B, N+2)`` state.  A step builds the real H(t + c_i h) of its twelve
+stages in one matmul per point, and each stage costs two more: its argument,
+y plus the earlier stages' products H_j y_j weighted by -i h a_ij, and H
+times that argument.  Every matmul is batched over the point axis and never
+runs across it, so BLAS sees the same shapes for a point in any batch; a
+matmul over the flattened points would not, and its tail handling would
+make a point's bits depend on the batch.  Each point keeps its own window,
+step size, controller state and audits, so a point takes exactly the steps
+it takes alone and its result is bitwise the same in any batch.
 
 What a result stores is the entry point's choice, not a setting: one
 propagation keeps every accepted node, a batch only each window's two ends.
@@ -177,11 +181,14 @@ class PropagationResult:
     h_max: float
 
 
-# Stage times, as fractions of h, of all thirteen stages, and of the twelve
-# a step evaluates after the FSAL stage.
-_C_ALL = np.array(_C)
-_C_STEP = _C_ALL[1:]
-_E53 = np.array([_E5, _E3])
+# Stage times, as fractions of h, of the twelve stages a step evaluates
+# after the FSAL stage.
+_C_STEP = np.array(_C[1:])
+# The stage slots hold y and the products H_j y_j without the -i, so the -i
+# goes into the weights: row i of ``_W`` weights them in stage i's argument
+# at h = 1, and ``_MI_E53`` gives the 5th- and 3rd-order error estimates.
+_W = np.hstack((np.ones((13, 1)), -1j * _A))
+_MI_E53 = -1j * np.array([_E5, _E3])
 _FAC_LO = 1.0 / _MAX_GROW
 _FAC_HI = 1.0 / _MAX_SHRINK
 _TINY = np.finfo(float).tiny
@@ -190,34 +197,58 @@ _TINY = np.finfo(float).tiny
 _PEAK_SAMPLES = np.linspace(0.0, 1.0, 9)
 
 
-def _generators(tc, omega0, width, delay, d_mat, p_mat, s_mat) -> np.ndarray:
-    """-i H at the times ``tc`` (shape (B, m)), shape (m, B, N+2, N+2).
+def _generators(tc, omega0, width, delay, psd) -> np.ndarray:
+    """H at the times ``tc`` (shape (B, m)), shape (B, m, N+2, N+2).
 
-    H(t) = D + omega_p(t) P + omega_s(t) S, with the per-point pulse
-    parameters (shape (B, 1)) and matrices stacked along the batch axis.
+    H(t) = omega_p(t) P + omega_s(t) S + D: each point's envelope rows
+    ``[omega_p, omega_s, 1]`` times its stacked ``[P; S; D]`` (``psd``,
+    shape (B, 3, N+2, N+2)), one matmul per point.
     """
-    wp, ws = gaussian_envelopes(tc, omega0, width, delay)
-    h_stack = wp.T[..., None, None] * p_mat + ws.T[..., None, None] * s_mat + d_mat
-    return -1j * h_stack
+    env = np.empty((*tc.shape, 3))
+    env[..., 0], env[..., 1] = gaussian_envelopes(tc, omega0, width, delay)
+    env[..., 2] = 1.0
+    hs = np.matmul(env, psd.reshape(*psd.shape[:2], -1))
+    return hs.reshape(*tc.shape, *psd.shape[2:])
 
 
-def _rhs(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.add.reduce(g * y[:, None, :], axis=-1)
+def _rhs(hs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """H y for real ``hs`` (shape (B, n, n)) and complex ``y`` (shape (B, n)),
+    as one real matmul per point on y's (re, im) pairs."""
+    return np.matmul(hs, y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
 
 
-def _stages(k: np.ndarray, y: np.ndarray, hc, g: np.ndarray, first: int, stop: int) -> np.ndarray:
-    """Fill stages ``first..stop-1`` of ``k`` and return the last stage's argument.
+def _weights(h: np.ndarray) -> np.ndarray:
+    """Stage weights of the step sizes ``h`` (shape (B,)), shape (B, 13, 13).
 
-    ``g[i - 1]`` is the generator at stage i's time.  The stage sums reduce
-    over the stage axis in tableau order with no BLAS call, so each row is
-    independent of the other rows of the batch.
+    Row i is ``[1, -i h a_i0, ..., -i h a_i,11]``: the weights of y and of
+    the products H_j y_j of stages 0..11 in stage i's argument.
     """
-    for i in range(first, stop):
-        yi = np.add.reduce(_A[i, :i, None, None] * k[:i], axis=0)
-        yi *= hc
-        yi += y
-        k[i] = _rhs(g[i - 1], yi)
-    return yi
+    w = h.astype(complex)[:, None, None] * _W
+    w[:, :, 0] = 1.0
+    return w
+
+
+def _stages(y: np.ndarray, k0: np.ndarray, w: np.ndarray, hs: np.ndarray) -> tuple:
+    """A step's stage slots and stage 12's argument, shape (B, n).
+
+    The slots ``k`` (shape (B, 14, n)) hold y in slot 0, ``k0`` = H_0 y in
+    slot 1, and stage j's product H_j y_j, without the -i, in slot j+1.
+    ``w`` are the step's :func:`_weights` and ``hs[:, i - 1]`` is H at stage
+    i's time.  Each stage is two matmuls batched over the points: its
+    argument, the weights of row i times slots 0..i, and H times that
+    argument as real (re, im) pairs.  No matmul runs across the point axis,
+    so each row's bits are independent of the other rows of the batch.
+    """
+    size, n = hs.shape[0], y.shape[1]
+    k = np.empty((size, 14, n), dtype=complex)
+    k[:, 0], k[:, 1] = y, k0
+    pairs = k.view(float).reshape(size, 14, n, 2)
+    yi = np.empty((size, 1, n), dtype=complex)
+    yi_pairs = yi.view(float).reshape(size, n, 2)
+    for i in range(1, 13):
+        np.matmul(w[:, i : i + 1, : i + 1], k[:, : i + 1], out=yi)
+        np.matmul(hs[:, i - 1], yi_pairs, out=pairs[:, i + 1])
+    return k, yi[:, 0]
 
 
 def _mid_population(states: np.ndarray) -> np.ndarray:
@@ -232,11 +263,9 @@ def _retaken(consts: tuple, t0: float, y0: np.ndarray, h: np.ndarray) -> np.ndar
     evaluation, each the step the loop takes from ``(t0, y0)`` with that
     size; returns their endpoint states, shape (m, N+2).
     """
-    hc = h[:, None]
-    g = _generators(t0 + _C_ALL * hc, *consts)
-    k = np.empty((13, h.size, y0.shape[1]), dtype=complex)
-    k[0] = _rhs(g[0], y0)
-    return _stages(k, y0, hc, g[1:], 1, 13)
+    k0 = _rhs(_generators(np.array([[t0]]), *consts)[:, 0], y0)
+    hs = _generators(t0 + _C_STEP * h[:, None], *consts)
+    return _stages(y0, k0, _weights(h), hs)[1]
 
 
 def _refined_peak(
@@ -338,7 +367,7 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
     omega0 = np.array([[pulses.omega0] for _, pulses in points])
     width = np.array([[pulses.width] for _, pulses in points])
     delay = np.array([[pulses.delay] for _, pulses in points])
-    consts = (omega0, width, delay, d_mat, p_mat, s_mat)
+    consts = (omega0, width, delay, np.stack((p_mat, s_mat, d_mat), axis=1))
     t = windows[:, 0].copy()
     t1 = windows[:, 1].copy()
     # Half a width: the controller cannot leap over a pulse from the flat tails.
@@ -352,7 +381,7 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
     )
 
     idx = np.arange(size)
-    k0 = _rhs(_generators(t[:, None], *consts)[0], y)
+    k0 = _rhs(_generators(t[:, None], *consts)[:, 0], y)
     just_rejected = np.zeros(size, dtype=bool)
     n_acc = np.zeros(size, dtype=int)
     n_rej = np.zeros(size, dtype=int)
@@ -421,20 +450,17 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
                 else:
                     failures[int(idx[b])] = ToleranceNotMet(f"step size underflow at t={t[b]}")
         else:
-            hc = h[:, None]
             # Tiny tolerances or huge widths overflow the scaled error or the
             # stages to inf or NaN, which the controller below rejects, so
             # NumPy need not warn of it.
             with np.errstate(over="ignore", invalid="ignore"):
-                g = _generators(t[:, None] + _C_STEP * hc, *consts)
-                k = np.empty((13, *y.shape), dtype=complex)
-                k[0] = k0
-                y_new = _stages(k, y, hc, g, 1, 13)  # stage 12's argument: the 8th-order solution
+                hs = _generators(t[:, None] + _C_STEP * h[:, None], *consts)
+                k, y_new = _stages(y, k0, _weights(h), hs)  # y_new: the 8th-order solution
                 # DOP853's error, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), from
                 # the two embedded estimates, each divided by the scale.
                 scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                e53 = np.add.reduce(_E53[:, :, None, None] * k[:12], axis=1) / scale
-                s5, s3 = np.add.reduce(np.abs(e53) ** 2, axis=-1)
+                e53 = np.matmul(_MI_E53, k[:, 1:13]) / scale[:, None]
+                s5, s3 = np.add.reduce(np.abs(e53) ** 2, axis=-1).T
                 err = h * s5 / np.sqrt(np.fmax(s5 + 0.01 * s3, _TINY) * y.shape[1])
 
             # err == 0 clips to the largest growth factor, NaN to the largest
@@ -448,7 +474,7 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
                 h_next = np.where(just_rejected, np.minimum(h_next, h), h_next)
             t_old, y_old, h_step = t, y, h
             if every:
-                t, y, k0 = t_next, y_new, k[12]
+                t, y, k0 = t_next, y_new, k[:, 13]
                 n_acc += 1
                 h_lo = np.minimum(h_lo, h)
                 h_hi = np.maximum(h_hi, h)
@@ -458,7 +484,7 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
                 col = accepted[:, None]
                 t = np.where(accepted, t_next, t)
                 y = np.where(col, y_new, y)
-                k0 = np.where(col, k[12], k0)
+                k0 = np.where(col, k[:, 13], k0)
                 n_acc += accepted
                 n_rej += ~accepted
                 h_lo = np.where(accepted, np.minimum(h_lo, h), h_lo)

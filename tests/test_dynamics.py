@@ -87,6 +87,12 @@ class TestPropagation:
         res = propagate(LINKED, pul)
         assert res.final_pf == pytest.approx(_reference_pf(LINKED, pul, "RK45"), abs=1e-8)
 
+    def test_agrees_with_reference_integrator_at_n16(self):
+        # eighteen amplitudes, the widest matrices of the batch tests
+        pul = pulses(4.0)
+        res = propagate(SIXTEEN, pul)
+        assert res.final_pf == pytest.approx(_reference_pf(SIXTEEN, pul), abs=1e-8)
+
     def test_tableau_is_dop853(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
 
@@ -202,12 +208,21 @@ DETUNING_POINTS = [
     (SCAN_BASE.with_common_detuning(float(v)), pulses(4.0)) for v in np.linspace(-2, 2, 10)
 ]
 WIDTH_POINTS = [(TRANSFER, pulses(float(w))) for w in np.linspace(2.0, 6.0, 10)]
-# Six-point common-detuning sweeps at N = 4 and N = 8: state vectors of 6
-# and 10 entries, on either side of the reduction length (8) where NumPy's
-# pairwise summation changes code path.
+# One pathway, and sixteen with unequal couplings and detunings spread over
+# [-1.5, 1.5].
+SINGLE = MultiLambdaSystem((1.0,), (1.0,), (1.0,))
+SIXTEEN = MultiLambdaSystem(
+    tuple(1 + 0.4 * np.sin(np.arange(16))),
+    tuple(1 + 0.4 * np.cos(np.arange(16))),
+    tuple(np.linspace(-1.5, 1.5, 16)),
+)
+# Six-point common-detuning sweeps at N = 4, 8, 1 and 16: state vectors of
+# 6, 10, 3 and 18 entries.  The BLAS kernels behind the per-point matmuls
+# split a matrix into blocks and a tail by its size, so these sizes run
+# their main and tail paths.
 WIDE_POINTS = [
     [(base.with_common_detuning(float(v)), pulses(4.0)) for v in np.linspace(-2, 2, 6)]
-    for base in (DEGEN_REDUCIBLE, AMBIGUOUS)
+    for base in (DEGEN_REDUCIBLE, AMBIGUOUS, SINGLE, SIXTEEN)
 ]
 CHEAP = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9)
 
@@ -216,7 +231,7 @@ class TestBatch:
     @pytest.mark.parametrize(
         "points",
         [DETUNING_POINTS, WIDTH_POINTS, *WIDE_POINTS],
-        ids=["detuning", "width", "detuning-n4", "detuning-n8"],
+        ids=["detuning", "width", "detuning-n4", "detuning-n8", "detuning-n1", "detuning-n16"],
     )
     def test_chunks_match_single_points_bitwise(self, points):
         single = [propagate(system, pul, CHEAP) for system, pul in points]

@@ -115,7 +115,7 @@ def test_propagations_of_a_copy_are_same(tmp_path):
     same = _compare_propagations(_copy_src(tmp_path))
     assert same.returncode == 0, same.stdout + same.stderr
     lines = same.stdout.splitlines()
-    assert len(lines) == len(_tool().PROPAGATIONS) + 3  # the batch has four points
+    assert len(lines) == 37  # nine single points, batches of four and of 24
     assert all(line.startswith("same  ") for line in lines), same.stdout
 
 
@@ -128,5 +128,28 @@ def test_propagations_under_a_changed_controller_differ(tmp_path):
     changed = _compare_propagations(copy)
     assert changed.returncode == 1, changed.stdout + changed.stderr
     lines = changed.stdout.splitlines()
-    assert len(lines) == 12  # eight single points and a batch of four
-    assert all(line.startswith("DIFF  ") and "final_pf" in line for line in lines), changed.stdout
+    assert len(lines) == 37  # nine single points, batches of four and of 24
+    for line in lines:
+        assert line.startswith("DIFF  ") and "; final_pf by " in line, line
+        assert line.endswith("; n_accepted/n_rejected differ)"), line
+
+
+def test_propagation_detail_sizes_a_diff():
+    tool = _tool()
+    digests = {"error": "e", "trajectory": "t", "final_pf": "p", "n_accepted": "a"}
+    values = {"final_pf": 0.5, "n_accepted": 10, "n_rejected": 2}
+    assert tool.propagation_detail((digests, dict(digests)), (values, dict(values))) == ""
+    # a last-bit change keeps the step counts
+    ulp = {**values, "final_pf": 0.5 + 2**-53}
+    assert tool.propagation_detail(
+        (digests, {**digests, "trajectory": "t2", "final_pf": "p2"}), (values, ulp)
+    ) == "trajectory, final_pf differ; final_pf by 2.2e-16; n_accepted/n_rejected match"
+    # a real change moves them; an int field has no relative difference
+    moved = {**values, "final_pf": 0.25, "n_accepted": 11}
+    assert tool.propagation_detail(
+        (digests, {**digests, "final_pf": "p2", "n_accepted": "a2"}), (values, moved)
+    ) == "final_pf, n_accepted differ; final_pf by 5.0e-01; n_accepted/n_rejected differ"
+    # a side that raised has neither values nor step counts
+    assert tool.propagation_detail(
+        ({"error": "e"}, {"error": "e2"}), ({}, {})
+    ) == "error differ"

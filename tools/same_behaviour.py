@@ -26,9 +26,12 @@ many rows, for example ``(out.csv differ: max_intermediate_pop in 3 rows)``.
 With ``--propagations`` the CLI is not run.  Instead each side runs the
 fixed list ``PROPAGATIONS`` of library calls in an interpreter of its own
 and prints one SHA-256 per field of each ``PropagationResult``, and of the
-error, if one was raised.  One ``same`` or ``DIFF`` line is printed per
-result, a DIFF line naming the fields that differ; a field that one side's
-result does not have is not compared.
+error, if one was raised, with the values of the scalar fields.  One
+``same`` or ``DIFF`` line is printed per result, a DIFF line naming the
+fields that differ, the relative difference of each differing float
+scalar, and whether ``n_accepted`` and ``n_rejected`` match, for example
+``(trajectory, final_pf differ; final_pf by 1.8e-14; n_accepted/n_rejected
+match)``; a field that one side's result does not have is not compared.
 
 The exit status is 1 if any run or result differs, and 2 if a side would
 import a package other than its own or its propagations could not be run.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -56,6 +60,15 @@ BROKEN = ((1, 2), (1, 0.5), (-0.5, 0.5))
 RES_GENERAL = ((1, 2), (1, 0.5), (0, 1))
 TRANSFER = ((1, 1, 1), (1, 2, 1), (1, 2, -1))
 N5 = ((1, 0.827, 1.4873, 0.8187, 1.2885), (1, 1.3699, 0.8911, 0.9379, 0.8727), (0, 1, 2, 3, 4))
+# An N = 30 system, its detunings spread over [-2, 2].
+N30 = (
+    tuple(1 + 0.4 * math.sin(k) for k in range(30)),
+    tuple(1 + 0.4 * math.cos(k) for k in range(30)),
+    tuple(-2 + 4 * k / 29 for k in range(30)),
+)
+# An N = 4 system and the 24 common detuning shifts over [-3, 3] of a scan.
+N4 = ((1, 0.8, 1.3, 0.6), (1, 1.2, 0.7, 1.4), (-2, -0.6, 0.7, 2))
+SHIFTS = tuple(-3 + 6 * i / 23 for i in range(24))
 LOOSE = {"rel_tol": 1e-8, "abs_tol": 1e-10}
 # (label, points, IntegratorConfig keywords): one point is a ``propagate``
 # call, which stores every accepted node, and several are one
@@ -71,9 +84,13 @@ PROPAGATIONS = (
     ("n5 w=40 loose", [(N5, (1, 40, 20))], LOOSE),
     ("batch", [(LINKED, (1, 10, 5)), (RES_GENERAL, (1, 30, 15)), (BROKEN, (0.5, 3, 2)),
                (LINKED, (2, 60, 20))], {}),
+    ("n30 w=30", [(N30, (1, 30, 15))], {}),
+    ("n4 detuning scan w=30",
+     [((N4[0], N4[1], tuple(d + s for d in N4[2])), (1, 30, 15)) for s in SHIFTS], {}),
 )
-# Run under one side's package: prints, as JSON, [label, {field: SHA-256}]
-# for each result of each entry of the list given as argv[1].
+# Run under one side's package: prints, as JSON, [label, {field: SHA-256},
+# {field: value}] for each result of each entry of the list given as argv[1];
+# the values are those of the scalar fields.
 PROPAGATE = """
 import ast, dataclasses, hashlib, json, sys
 import numpy as np
@@ -94,11 +111,13 @@ for label, points, settings in ast.literal_eval(sys.argv[1]):
             results = propagate_batch(points, IntegratorConfig(**settings))
     except Exception as exc:
         error = digest(f"{type(exc).__name__}: {exc}")
-        out += [[name, {"error": error}] for name in labels]
+        out += [[name, {"error": error}, {}] for name in labels]
         continue
     for name, res in zip(labels, results):
-        fields = {f.name: digest(getattr(res, f.name)) for f in dataclasses.fields(res)}
-        out.append([name, {"error": digest(""), **fields}])
+        values = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+        fields = {key: digest(value) for key, value in values.items()}
+        scalars = {key: value for key, value in values.items() if isinstance(value, (int, float))}
+        out.append([name, {"error": digest(""), **fields}, scalars])
 print(json.dumps(out))
 """
 
@@ -201,9 +220,10 @@ class Side:
                 outcome[name] = without_seconds(data) if name.endswith(".csv") else data
         return outcome
 
-    def propagations(self) -> list[tuple[str, dict[str, str]]] | None:
-        """Label and field digests of each result of ``PROPAGATIONS``, or
-        None, with the side's stderr printed, if they could not be run."""
+    def propagations(self) -> list[tuple[str, dict[str, str], dict[str, float]]] | None:
+        """Label, field digests and scalar field values of each result of
+        ``PROPAGATIONS``, or None, with the side's stderr printed, if they
+        could not be run."""
         proc = subprocess.run(
             [sys.executable, "-c", PROPAGATE, repr(PROPAGATIONS)],
             cwd=self.work, env=self.env, capture_output=True, text=True,
@@ -224,17 +244,48 @@ class Side:
         )
 
 
+def relative(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 where a == b."""
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def propagation_detail(digests: tuple[dict, dict], values: tuple[dict, dict]) -> str:
+    """What differs between two results, given each side's field digests and
+    scalar field values; empty if nothing does.
+
+    Names the fields whose digests differ, then gives each differing float
+    scalar its relative difference and says whether the step counts match,
+    where both sides have them.
+    """
+    a, b = digests
+    parts = [name for name in a if name in b and a[name] != b[name]]
+    if not parts:
+        return ""
+    mine, other = values
+    detail = [f"{', '.join(parts)} differ"]
+    floats = [
+        f"{name} by {relative(mine[name], other[name]):.1e}" for name in parts
+        if isinstance(mine.get(name), float) and isinstance(other.get(name), float)
+    ]
+    if floats:
+        detail.append(", ".join(floats))
+    counts = ("n_accepted", "n_rejected")
+    if all(name in mine and name in other for name in counts):
+        match = all(mine[name] == other[name] for name in counts)
+        detail.append(f"n_accepted/n_rejected {'match' if match else 'differ'}")
+    return "; ".join(detail)
+
+
 def compare_propagations(sides: tuple[Side, Side]) -> int:
     """Print one line per result of ``PROPAGATIONS``; the exit status."""
     mine, other = (side.propagations() for side in sides)
     if mine is None or other is None:
         return 2
     differ = False
-    for (label, a), (_, b) in zip(mine, other):
-        parts = [name for name in a if name in b and a[name] != b[name]]
-        differ = differ or bool(parts)
-        detail = f"  ({', '.join(parts)} differ)" if parts else ""
-        print(f"{'DIFF' if parts else 'same'}  {label}{detail}")
+    for (label, a, va), (_, b, vb) in zip(mine, other):
+        detail = propagation_detail((a, b), (va, vb))
+        differ = differ or bool(detail)
+        print(f"DIFF  {label}  ({detail})" if detail else f"same  {label}")
     return 1 if differ else 0
 
 
