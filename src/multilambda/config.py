@@ -5,17 +5,18 @@ headers; entries are `key = value` lines; `#` starts a comment.  Unknown
 sections or keys are parse errors so that typos cannot silently fall back
 to defaults.  Values may be numbers, fractions like -2/3 (kept exact to
 double precision, which matters for constructing exactly-vanishing
-detuning sums), booleans, or comma-separated number lists.
+detuning sums), or comma-separated number lists.  Every piece of a list
+must be a number, so an empty item or a trailing comma is an error.
 
 Each section's keys are the fields of the dataclass it builds, and the
 value rules live on that dataclass: ``MultiLambdaSystem``, ``PulsePair``,
 ``IntegratorConfig`` and ``ScanSpec`` refuse non-finite numbers and values
-outside their domain, for library callers and config files alike.  Three
-conventions hold for config files only and are checked here: ``n``, when
-given, matches the list length, ``omega0`` is positive, and the first
-coupling pair is normalized, alphas[0] == betas[0] == 1.  Every problem
-is a ``ConfigError``; one found while reading the text, such as a value that
-is not a number, has its message prefixed with ``<source>:<line>: ``.
+outside their domain, for library callers and config files alike.  Two
+conventions hold for config files only and are checked here: ``omega0`` is
+positive, and the first coupling pair is normalized, alphas[0] == betas[0]
+== 1.  Every problem is a ``ConfigError``; one found while reading the
+text, such as a value that is not a number, has its message prefixed with
+``<source>:<line>: ``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class ScanSpec:
     start: float
     stop: float
     points: int
-    log_scale: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", ScanAxis(self.axis))
@@ -80,14 +80,10 @@ class ScanSpec:
             raise ValueError("scan needs points >= 2")
         if self.points > _MAX_POINTS:
             raise ValueError(f"scan points must be at most {_MAX_POINTS}")
-        if self.log_scale and (self.start <= 0 or self.stop <= 0):
-            raise ValueError("log-scale scan needs positive endpoints")
         if self.axis is ScanAxis.PULSE_WIDTH and (self.start <= 0 or self.stop <= 0):
             raise ValueError("pulse-width scan needs positive widths")
 
     def values(self) -> np.ndarray:
-        if self.log_scale:
-            return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
 
@@ -116,10 +112,7 @@ def _number(text: str) -> float:
 
 
 def _numbers(text: str) -> tuple[float, ...]:
-    items = [piece for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(_number(piece) for piece in items)
+    return tuple(_number(piece) for piece in text.split(","))
 
 
 def _integer(text: str) -> int:
@@ -129,23 +122,13 @@ def _integer(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _boolean(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # Section -> key -> value parser.  A parser raises ValueError on text that
 # is not a value of its kind; enum values stay strings for the dataclass.
 _SECTIONS = {
-    "system": {"n": _integer, "alphas": _numbers, "betas": _numbers, "detunings": _numbers},
+    "system": {"alphas": _numbers, "betas": _numbers, "detunings": _numbers},
     "pulses": {"omega0": _number, "width": _number, "delay": _number},
     "integrator": {"rel_tol": _number, "abs_tol": _number},
-    "scan": {"axis": str, "start": _number, "stop": _number, "points": _integer,
-             "log_scale": _boolean},
+    "scan": {"axis": str, "start": _number, "stop": _number, "points": _integer},
     "output": {"csv": Path, "report": Path},
 }
 
@@ -205,12 +188,9 @@ def parse_config(text: str, source: str = "<string>", base_dir: Path | None = No
     sections = _read_sections(text, source)
     if "system" not in sections:
         raise ConfigError("missing [system] section")
-    n = sections["system"].pop("n", None)
     system = _build(MultiLambdaSystem, "system", sections["system"])
     if system.alphas[0] != 1.0 or system.betas[0] != 1.0:
         raise ConfigError("first coupling pair must be normalized to 1")
-    if n is not None and n != system.n_intermediate:
-        raise ConfigError(f"n = {n}, but the lists have {system.n_intermediate} entries")
 
     pulses = {"omega0": 1.0, "width": 30.0, **sections.get("pulses", {})}
     pulses.setdefault("delay", 0.5 * pulses["width"])

@@ -337,7 +337,7 @@ def build_hamiltonian(system: MultiLambdaSystem, omega_p, omega_s) -> np.ndarray
     """
     omega_p = np.asarray(omega_p, dtype=float)
     omega_s = np.asarray(omega_s, dtype=float)
-    if np.any(omega_p < 0) or np.any(omega_s < 0):
+    if not (np.all(omega_p >= 0) and np.all(omega_s >= 0)):
         raise ValueError("envelope values must be nonnegative")
     n = system.n_intermediate
     h = np.zeros(np.broadcast_shapes(omega_p.shape, omega_s.shape) + (n + 2, n + 2))
@@ -426,11 +426,13 @@ def zero_eigvec_amplitudes(
     ``-(alpha_k omega_p a_i + beta_k omega_s a_f) / delta_k``.  The result is
     a normalized, read-only complex array.  The caller is responsible for the
     validity of ``(a_i, a_f)``; the vector is exactly a null vector only when
-    the zero-eigenvalue condition holds for the system.  An array ``t``
-    raises ValueError.
+    the zero-eigenvalue condition holds for the system.  An array ``t`` or a
+    non-finite end amplitude raises ValueError.
     """
     if np.ndim(t) != 0:
         raise ValueError(f"t must be a scalar time, not an array of shape {np.shape(t)}")
+    if not (math.isfinite(a_i) and math.isfinite(a_f)):
+        raise ValueError("end-state amplitudes must be finite")
     if any(d == 0.0 for d in system.detunings):
         raise PreconditionViolated("intermediate amplitudes divide by each detuning")
     wp, ws = pulses.values(t)

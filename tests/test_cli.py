@@ -268,6 +268,26 @@ class TestExitCodes:
             assert proc.stderr == expected
 
     @pytest.mark.parametrize(
+        ("text", "expected"),
+        [
+            (SINGLE_RUN.replace("[system]\n", "[system]\nn = 2\n"),
+             "bad.conf:2: unknown key 'n' in [system]"),
+            (SINGLE_RUN + "\n[scan]\naxis = pulse_width\nstart = 2\nstop = 16\npoints = 3\n"
+             "log_scale = true\n", "bad.conf:15: unknown key 'log_scale' in [scan]"),
+            (SINGLE_RUN.replace("alphas = 1, 2", "alphas = 1,, 2"), "bad.conf:2: not a number: ''"),
+        ],
+        ids=["n", "log_scale", "empty-list-item"],
+    )
+    def test_removed_keys_and_empty_list_items_are_2(self, tmp_path, text, expected):
+        # n restated the list length, log_scale was set by no caller, and an
+        # empty list item was dropped, so "1,, 2" ran with exit 0
+        (tmp_path / "bad.conf").write_text(text)
+        proc = run_cli("simulate", "bad.conf", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: config: {expected}\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
         ("old", "new"), [("alphas = 1, 2", "alphas = 2, 1"), ("betas = 1, 0.5", "betas = 1.5, 1")]
     )
     def test_unnormalized_first_coupling_pair_is_2(self, tmp_path, old, new):

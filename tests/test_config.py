@@ -26,7 +26,6 @@ from cases import NON_FINITE, mutated_presets
 FULL_TEXT = """\
 # two-pathway benchmark
 [system]
-n = 2
 alphas = 1, 2
 betas = 1, 0.5
 detunings = 0.5, 1.5
@@ -58,12 +57,13 @@ def _init_fields(cls) -> set[str]:
 
 def test_section_keys_are_dataclass_fields():
     # a section is built as cls(**values): a key that is no field would be
-    # a TypeError, exit 1; [system] adds the cross-checked count n
+    # a TypeError, exit 1
     sections = config._SECTIONS
-    assert set(sections["system"]) == _init_fields(MultiLambdaSystem) | {"n"}
+    assert set(sections["system"]) == _init_fields(MultiLambdaSystem)
     assert set(sections["pulses"]) == _init_fields(PulsePair)
     assert set(sections["integrator"]) == _init_fields(IntegratorConfig)
     assert set(sections["scan"]) == _init_fields(ScanSpec)
+    assert [f.name for f in dataclasses.fields(ScanSpec)] == ["axis", "start", "stop", "points"]
 
 
 @pytest.mark.parametrize(
@@ -137,14 +137,21 @@ class TestParsing:
         cfg = parse_config(
             "[system]\nalphas = 1\nbetas = 1\ndetunings = 1\n"
             "\n[pulses]\nwidth = 30\n"
-            "\n[scan]\naxis = pulse_width\nstart = 2\nstop = 80\npoints = 5\nlog_scale = true\n"
+            "\n[scan]\naxis = pulse_width\nstart = 2\nstop = 80\npoints = 5\n"
         )
         values = cfg.scan.values()
         assert len(values) == 5
-        assert values[0] == pytest.approx(2.0)
-        assert values[-1] == pytest.approx(80.0)
-        ratios = [b / a for a, b in zip(values, values[1:])]
-        assert ratios[0] == pytest.approx(ratios[-1], rel=1e-12)
+        assert values[0] == 2.0 and values[-1] == 80.0
+        assert np.allclose(np.diff(values), 19.5, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "alphas", ["1,, 2", "1, 2,", ""], ids=["empty-item", "trailing", "empty"]
+    )
+    def test_every_list_piece_is_a_number(self, alphas):
+        # an empty piece was dropped, so "1,, 2" ran a two-state system
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[system]\nalphas = {alphas}\nbetas = 1, 1\ndetunings = 1, 2\n")
+        assert str(err.value) == "<string>:2: not a number: ''"
 
 
 class TestParseErrors:
@@ -173,7 +180,7 @@ class TestParseErrors:
     def test_bad_number(self):
         # a value its key's parser refuses is an error prefixed with its line
         for text, line in (("[system]\nalphas = zebra\nbetas = 1\ndetunings = 1\n", 2),
-                           ("[system]\nalphas = 1\n[scan]\nlog_scale = maybe\n", 4)):
+                           ("[system]\nalphas = 1\n[scan]\npoints = many\n", 4)):
             with pytest.raises(ConfigError) as err:
                 parse_config(text)
             assert str(err.value).startswith(f"<string>:{line}: ")
@@ -195,10 +202,6 @@ class TestValidationErrors:
         with pytest.raises(ConfigError):
             parse_config(self._conf(system="alphas = 1, 2\nbetas = 1\ndetunings = 1, 2"))
 
-    def test_n_cross_check(self):
-        with pytest.raises(ConfigError):
-            parse_config(self._conf(system="n = 3\nalphas = 1, 2\nbetas = 1, 1\ndetunings = 1, 2"))
-
     def test_normalization_enforced(self):
         with pytest.raises(ConfigError):
             parse_config(self._conf(system="alphas = 2, 1\nbetas = 1, 1\ndetunings = 1, 2"))
@@ -215,9 +218,6 @@ class TestValidationErrors:
         with pytest.raises(ConfigError):
             parse_config(self._conf(
                 scan="axis = pulse_width\nstart = -2\nstop = 80\npoints = 5"))
-        with pytest.raises(ConfigError):
-            parse_config(self._conf(
-                scan="axis = common_detuning\nstart = -2\nstop = 1\npoints = 5\nlog_scale = true"))
         with pytest.raises(ConfigError):
             parse_config(self._conf(scan="axis = sideways\nstart = 0\nstop = 1\npoints = 5"))
 
@@ -260,8 +260,6 @@ class TestScanSpec:
             with pytest.raises(ValueError, match="integer"):
                 ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=bad)
         assert ScanSpec(ScanAxis.COMMON_DETUNING, -1.0, 1.0, np.int32(3)).values().size == 3
-        with pytest.raises(ValueError, match="log-scale"):
-            ScanSpec(ScanAxis.COMMON_DETUNING, start=-1.0, stop=1.0, points=5, log_scale=True)
         with pytest.raises(ValueError, match="widths"):
             ScanSpec(ScanAxis.PULSE_WIDTH, start=0.0, stop=10.0, points=5)
         with pytest.raises(ValueError, match="differ"):

@@ -175,6 +175,11 @@ class TestHamiltonian:
             build_hamiltonian(LINKED, -0.1, 0.5)
         with pytest.raises(ValueError, match="nonnegative"):
             build_hamiltonian(LINKED, np.array([0.1, 0.2]), np.array([0.5, -1e-300]))
+        # NaN compares False against 0 either way: once NaN couplings
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_hamiltonian(LINKED, np.nan, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_hamiltonian(LINKED, np.array([0.1, 0.2]), np.array([0.5, np.nan]))
 
     def test_array_envelopes_stack_scalar_builds(self):
         wp, ws = pulses(30.0).values(np.linspace(-60.0, 60.0, 7))
@@ -425,6 +430,14 @@ class TestNullVectors:
         match = r"^t must be a scalar time, not an array of shape \(2,\)$"
         with pytest.raises(ValueError, match=match):
             zero_eigvec_amplitudes(LINKED, pulses(30.0), np.array([0.0, 1.0]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_extension_needs_finite_end_amplitudes(self, bad):
+        # the divide by a NaN norm warned before the ValueError
+        match = "^end-state amplitudes must be finite$"
+        for a_i, a_f in ((bad, 0.0), (1.0, -bad)):
+            with pytest.raises(ValueError, match=match):
+                zero_eigvec_amplitudes(LINKED, pulses(30.0), 0.0, a_i, a_f)
 
     def test_extension_needs_nonzero_end_amplitudes(self):
         with pytest.raises(ValueError, match="empty vector"):

@@ -25,16 +25,15 @@ abs_tol = 1e-9
 axis = pulse_width
 start = 2
 stop = 16
-points = {points}
-log_scale = {log_scale}
+points = 4
 """
 
 
-def test_log_scale_width_scan():
-    cfg = parse_config(WIDTH_SCAN.format(points=4, log_scale="true"))
+def test_linear_width_scan():
+    cfg = parse_config(WIDTH_SCAN)
     values = cfg.scan.values()
     assert values[0] == 2.0 and values[-1] == 16.0
-    assert np.allclose(values, [2.0, 4.0, 8.0, 16.0], rtol=1e-12, atol=0.0)
+    assert np.allclose(values, [2.0, 20 / 3, 34 / 3, 16.0], rtol=1e-12, atol=0.0)
     rows = run_scan(cfg)
     assert [row.scan_value for row in rows] == values.tolist()
     assert all(0.0 <= row.pf <= 1.0 for row in rows)
