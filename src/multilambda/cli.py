@@ -76,7 +76,7 @@ def _write(text: str, path: Path | None, quiet: bool, note: str) -> None:
 def _cmd_scan(cfg: RunConfig, quiet: bool) -> list[ScanRow]:
     rows = run_scan(cfg)
     count = "1 row" if len(rows) == 1 else f"{len(rows)} row(s)"
-    _write(format_csv(rows), cfg.output.csv_path, quiet, f"{count} to {cfg.output.csv_path}")
+    _write(format_csv(rows), cfg.csv_path, quiet, f"{count} to {cfg.csv_path}")
     return rows
 
 
@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "scan":
             _cmd_scan(cfg, args.quiet)
         else:
-            path = cfg.output.report_path
+            path = cfg.report_path
             _write(report_text(cfg), path, args.quiet, f"report to {path}")
         return 0
     except ConfigError as exc:

@@ -1,6 +1,7 @@
 """Run configuration: a small sectioned key-value text format.
 
-A config file drives one simulation or one scan.  Sections are bracketed
+A config file drives one simulation or one scan.  It has four sections,
+``[system]``, ``[pulses]``, ``[scan]`` and ``[output]``, as bracketed
 headers; entries are `key = value` lines; `#` starts a comment.  Unknown
 sections or keys are parse errors so that typos cannot silently fall back
 to defaults.  Values may be numbers, fractions like -2/3 (kept exact to
@@ -8,15 +9,16 @@ double precision, which matters for constructing exactly-vanishing
 detuning sums), or comma-separated number lists.  Every piece of a list
 must be a number, so an empty item or a trailing comma is an error.
 
-Each section's keys are the fields of the dataclass it builds, and the
-value rules live on that dataclass: ``MultiLambdaSystem``, ``PulsePair``,
-``IntegratorConfig`` and ``ScanSpec`` refuse non-finite numbers and values
-outside their domain, for library callers and config files alike.  Two
-conventions hold for config files only and are checked here: ``omega0`` is
-positive, and the first coupling pair is normalized, alphas[0] == betas[0]
-== 1.  Every problem is a ``ConfigError``; one found while reading the
-text, such as a value that is not a number, has its message prefixed with
-``<source>:<line>: ``.
+The keys of the first three are the fields of the dataclass each builds,
+and the value rules live on that dataclass: ``MultiLambdaSystem``,
+``PulsePair`` and ``ScanSpec`` refuse non-finite numbers and values outside
+their domain, for library callers and config files alike.  ``[output]``
+names the CSV and report files, ``RunConfig.csv_path`` and ``report_path``.
+Two conventions hold for config files only and are checked here:
+``omega0`` is positive, and the first coupling pair is normalized,
+alphas[0] == betas[0] == 1.  Every problem is a ``ConfigError``; one found
+while reading the text, such as a value that is not a number, has its
+message prefixed with ``<source>:<line>: ``.
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import IntegratorConfig
 from .errors import ConfigError
 from .model import MultiLambdaSystem, PulsePair, _real
 
 __all__ = [
     "ScanAxis",
     "ScanSpec",
-    "OutputSpec",
     "RunConfig",
     "parse_config",
     "load_config",
@@ -88,18 +88,12 @@ class ScanSpec:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    csv_path: Path | None = None
-    report_path: Path | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     system: MultiLambdaSystem
     pulses: PulsePair
-    integrator: IntegratorConfig
     scan: ScanSpec | None
-    output: OutputSpec
+    csv_path: Path | None
+    report_path: Path | None
 
 
 def _number(text: str) -> float:
@@ -127,7 +121,6 @@ def _integer(text: str) -> int:
 _SECTIONS = {
     "system": {"alphas": _numbers, "betas": _numbers, "detunings": _numbers},
     "pulses": {"omega0": _number, "width": _number, "delay": _number},
-    "integrator": {"rel_tol": _number, "abs_tol": _number},
     "scan": {"axis": str, "start": _number, "stop": _number, "points": _integer},
     "output": {"csv": Path, "report": Path},
 }
@@ -203,9 +196,9 @@ def parse_config(text: str, source: str = "<string>", base_dir: Path | None = No
     return RunConfig(
         system=system,
         pulses=_build(PulsePair, "pulses", pulses),
-        integrator=_build(IntegratorConfig, "integrator", sections.get("integrator", {})),
         scan=None if scan is None else _build(ScanSpec, "scan", scan),
-        output=OutputSpec(csv_path=output.get("csv"), report_path=output.get("report")),
+        csv_path=output.get("csv"),
+        report_path=output.get("report"),
     )
 
 
@@ -213,7 +206,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Read and parse a config file; parse errors carry the file name."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -383,7 +383,8 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
     idx = np.arange(size)
     k0 = _rhs(_generators(t[:, None], *consts)[:, 0], y)
     just_rejected = np.zeros(size, dtype=bool)
-    n_acc = np.zeros(size, dtype=int)
+    # A row in the batch attempts a step per stepping iteration: n_accepted = attempts - n_rej.
+    attempts = 0
     n_rej = np.zeros(size, dtype=int)
     h_lo = np.full(size, np.inf)
     h_hi = np.zeros(size)
@@ -427,7 +428,7 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
             final_pf=float(np.abs(y[b, -1]) ** 2),
             final_norm_error=final_norm_error,
             max_intermediate_pop=peak,
-            n_accepted=int(n_acc[b]),
+            n_accepted=attempts - int(n_rej[b]),
             n_rejected=int(n_rej[b]),
             h_min=float(h_lo[b]),
             h_max=float(h_hi[b]),
@@ -450,6 +451,7 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
                 else:
                     failures[int(idx[b])] = ToleranceNotMet(f"step size underflow at t={t[b]}")
         else:
+            attempts += 1
             # Tiny tolerances or huge widths overflow the scaled error or the
             # stages to inf or NaN, which the controller below rejects, so
             # NumPy need not warn of it.
@@ -475,7 +477,6 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
             t_old, y_old, h_step = t, y, h
             if every:
                 t, y, k0 = t_next, y_new, k[:, 13]
-                n_acc += 1
                 h_lo = np.minimum(h_lo, h)
                 h_hi = np.maximum(h_hi, h)
                 if rejected_before:
@@ -485,7 +486,6 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
                 t = np.where(accepted, t_next, t)
                 y = np.where(col, y_new, y)
                 k0 = np.where(col, k[:, 13], k0)
-                n_acc += accepted
                 n_rej += ~accepted
                 h_lo = np.where(accepted, np.minimum(h_lo, h), h_lo)
                 h_hi = np.where(accepted, np.maximum(h_hi, h), h_hi)
@@ -538,8 +538,7 @@ def _lockstep(points, config, every_node: bool) -> list[PropagationResult]:
             idx, t, h, t1 = (a[keep] for a in (idx, t, h, t1))
             h_floor, max_step = (a[keep] for a in (h_floor, max_step))
             y, k0, just_rejected = (a[keep] for a in (y, k0, just_rejected))
-            n_acc, n_rej = n_acc[keep], n_rej[keep]
-            h_lo, h_hi, max_mid = (a[keep] for a in (h_lo, h_hi, max_mid))
+            n_rej, h_lo, h_hi, max_mid = (a[keep] for a in (n_rej, h_lo, h_hi, max_mid))
             peak_t, peak_y, peak_h = (a[keep] for a in (peak_t, peak_y, peak_h))
             after_h, waiting = after_h[keep], waiting[keep]
             consts = tuple(a[keep] for a in consts)

@@ -3,10 +3,11 @@
 There is one family per way a caller handles a failure.  ConfigError means
 the run description is wrong, whether its text does not parse or a value is
 refused: fix the input (exit code 2 at the command line).  NumericalError
-means the machinery failed on valid input: change a tolerance or the grid
-(exit code 3).  PreconditionViolated means a formula
-was asked for outside the domain where it holds, for example a dark state
-of non-proportional couplings or detuning sums of a resonant system; its
+means the machinery failed on valid input (exit code 3): change a
+tolerance through ``IntegratorConfig`` in the library, or the width or
+delay at the command line.  PreconditionViolated means a formula was asked
+for outside the domain where it holds, for example a dark state of
+non-proportional couplings or detuning sums of a resonant system; its
 message names the condition.  Its one subclass, NoCrossing, is the refusal
 of the crossing-based estimate, which a scan reports as a reason instead.
 """

@@ -80,7 +80,7 @@ def _evaluate_chunk(cfg: RunConfig, values: list[float | None]) -> list[ScanRow]
         own.append((verdict, xi, time.perf_counter() - started))
     started = time.perf_counter()
     try:
-        results = propagate_batch(inputs, cfg.integrator)
+        results = propagate_batch(inputs)
     except NumericalError as exc:
         value = values[exc.point]
         if value is not None:

@@ -40,9 +40,10 @@ EARLIER_NAMES = {
 # one-field state wrapper (states are plain complex arrays of N+2 amplitudes),
 # the error classes that each restated ``PreconditionViolated``, whose
 # message now names the failed condition, the per-label curve lookups
-# (one index into ``track_spectrum``'s stacked fields), and the two kinds of
+# (one index into ``track_spectrum``'s stacked fields), the two kinds of
 # ``ConfigError``, which no caller told apart: the command line exits 2 for
-# both, and a parse error's line is in its message.
+# both, and a parse error's line is in its message, and the two-field
+# output wrapper (``RunConfig.csv_path`` and ``report_path``).
 REMOVED_NAMES = {
     "DetuningProducts", "detuning_products", "det_offres_pair_form",
     "det_single_res_pair_form", "det_double_res", "EffectiveTwoState",
@@ -51,7 +52,7 @@ REMOVED_NAMES = {
     "asymptotic_eigenvalues_offres", "asymptotic_eigenvalues_res", "NotSingleResonance",
     "s_sums", "StateVector", "ZeroDetuningInSum", "BothEnvelopesZero", "NonSymmetricInput",
     "DegenerateSums", "WrongResonanceCount", "NotProportional", "track_curve", "track_vectors",
-    "ParseError", "ValidationError",
+    "ParseError", "ValidationError", "OutputSpec",
 }
 
 # One error class per way a caller handles a failure, each with its direct base.

@@ -17,10 +17,6 @@ detunings = 0.5, 1.5
 omega0 = 1
 width = 10
 
-[integrator]
-rel_tol = 1e-7
-abs_tol = 1e-9
-
 [scan]
 axis = pulse_width
 start = 2

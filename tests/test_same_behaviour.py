@@ -104,6 +104,16 @@ def test_copy_is_same_and_changed_format_differs(tmp_path):
     ]
 
 
+def test_config_alone_runs_no_preset(tmp_path, capsys):
+    # the preset defaults once applied to a config-only comparison too
+    config = tmp_path / "tiny.conf"
+    config.write_text(HOSTILE)
+    assert _tool().main([str(ROOT / "src"), "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"same  exit 0/0  {command} {config}" for command in ("simulate", "scan", "analyze")
+    ]
+
+
 def _compare_propagations(other_src: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(TOOL), str(other_src), "--propagations"],

@@ -7,13 +7,14 @@
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for example of
 the parent commit exported with ``git archive``.  Each side works in a
 temporary directory of its own, with its package leading ``PYTHONPATH`` as
-``tests/test_cli.py`` sets it.  There it runs ``preset list``, writes each
-named preset with ``multilambda preset``, runs ``scan`` on the ``--scan``
-presets and ``analyze`` on the ``--analyze`` presets.  By default those are
-the four scan presets below and every preset that ``preset list`` names.
-Then it runs ``simulate``, ``scan`` and ``analyze`` on each ``--config``
-file, each run on a copy of the file in a fresh directory, so that relative
-output paths land there.
+``tests/test_cli.py`` sets it.  Unless only ``--config`` files are given,
+it runs ``preset list`` there, writes each named preset with ``multilambda
+preset``, runs ``scan`` on the ``--scan`` presets and ``analyze`` on the
+``--analyze`` presets.  When none of ``--scan``, ``--analyze`` and
+``--config`` is given, those are the four scan presets below and every
+preset that ``preset list`` names.  Then it runs ``simulate``, ``scan`` and
+``analyze`` on each ``--config`` file, each run on a copy of the file in a
+fresh directory, so that relative output paths land there.
 
 Each run compares the exit code, stdout, stderr and the files it writes: the
 config, the report bytes, or the CSV bytes without the ``seconds`` column,
@@ -292,11 +293,17 @@ def compare_propagations(sides: tuple[Side, Side]) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", type=Path, help="src directory of the other checkout")
-    parser.add_argument("--scan", nargs="+", default=SCANS, metavar="NAME")
-    parser.add_argument("--analyze", nargs="+", metavar="NAME", help="default: every preset")
+    parser.add_argument(
+        "--scan", nargs="+", default=(), metavar="NAME",
+        help="default, with no --analyze or --config either: four scan presets",
+    )
+    parser.add_argument(
+        "--analyze", nargs="+", default=(), metavar="NAME",
+        help="default, with no --scan or --config either: every preset",
+    )
     parser.add_argument(
         "--config", nargs="+", type=Path, default=(), metavar="FILE",
-        help="also run simulate, scan and analyze on each of these config files",
+        help="run simulate, scan and analyze on each of these config files",
     )
     parser.add_argument(
         "--propagations", action="store_true",
@@ -333,11 +340,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{verdict}  exit {mine['exit']}/{other['exit']}  {' '.join(cli)}{detail}")
             return mine
 
-        listed = compare("preset", "list")["stdout"].decode().split()
-        analyze = args.analyze or listed
-        for name in dict.fromkeys([*args.scan, *analyze]):
+        scan, analyze = args.scan, args.analyze
+        default = not (scan or analyze or args.config)
+        if default or scan or analyze:
+            listed = compare("preset", "list")["stdout"].decode().split()
+            if default:
+                scan, analyze = SCANS, listed
+        for name in dict.fromkeys([*scan, *analyze]):
             compare("preset", name, "--out", ".", output=f"{name}.conf")
-        for name in args.scan:
+        for name in scan:
             compare("scan", f"{name}.conf", output=f"{name}.csv")
         for name in analyze:
             compare("analyze", f"{name}.conf", output=f"{name}.txt")
